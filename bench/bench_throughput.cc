@@ -1,4 +1,5 @@
-// Batch-grading throughput benchmark for the concurrent scheduler: grades a
+// Batch-grading throughput benchmark for the concurrent scheduler
+// (GradeBatchParallel on a one-shard ShardedScheduler): grades a
 // synthetic MOOC-scale corpus (default: 1000 Assignment 1 submissions drawn
 // from ~200 distinct variants, the rest comment-perturbed resubmissions)
 // and reports submissions/sec at 1/2/4/8 workers.
@@ -29,7 +30,7 @@
 #include "kb/assignments.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sched/scheduler.h"
+#include "sched/sharded_scheduler.h"
 #include "service/pipeline.h"
 #include "synth/generator.h"
 
@@ -132,7 +133,7 @@ int main(int argc, char** argv) {
   {
     jfeed::service::GradingPipeline pipeline(assignment);
     auto sequential = pipeline.GradeBatch(corpus);
-    jfeed::sched::SchedulerOptions sopts;
+    jfeed::sched::ShardedSchedulerOptions sopts;
     sopts.jobs = 4;
     auto parallel =
         jfeed::service::GradeBatchParallel(assignment, corpus, {}, sopts);
@@ -155,13 +156,13 @@ int main(int argc, char** argv) {
   std::string json_rows;
   for (bool cache_on : {false, true}) {
     for (int jobs : {1, 2, 4, 8}) {
-      jfeed::sched::SchedulerOptions sopts;
+      jfeed::sched::ShardedSchedulerOptions sopts;
       sopts.jobs = jobs;
       sopts.use_result_cache = cache_on;
-      jfeed::sched::BatchScheduler scheduler(assignment, {}, sopts);
       jfeed::sched::BatchStats stats;
       Clock::time_point t0 = Clock::now();
-      auto outcomes = scheduler.GradeBatchWithStats(corpus, &stats);
+      auto outcomes = jfeed::service::GradeBatchParallel(assignment, corpus,
+                                                         {}, sopts, {}, &stats);
       double seconds = SecondsSince(t0);
       double rate = seconds > 0 ? corpus.size() / seconds : 0.0;
       if (!cache_on && jobs == 1) base_rate = rate;
@@ -204,19 +205,16 @@ int main(int argc, char** argv) {
   // Observability overhead: the obs layer's acceptance bar is <5% wall time
   // with tracing AND metrics enabled versus a disabled registry. Both runs
   // use the contended configuration (jobs=4, cache off) so every submission
-  // pays for the fully instrumented pipeline; with JFEED_OBS=OFF the stubs
-  // make the instrumented run identical to the baseline.
+  // pays for the fully instrumented pipeline.
   double obs_baseline_s = 0.0;
   double obs_instrumented_s = 0.0;
   {
     auto timed_run = [&assignment, &corpus] {
-      jfeed::sched::SchedulerOptions sopts;
+      jfeed::sched::ShardedSchedulerOptions sopts;
       sopts.jobs = 4;
       sopts.use_result_cache = false;
-      jfeed::sched::BatchScheduler scheduler(assignment, {}, sopts);
-      jfeed::sched::BatchStats stats;
       Clock::time_point t0 = Clock::now();
-      scheduler.GradeBatchWithStats(corpus, &stats);
+      jfeed::service::GradeBatchParallel(assignment, corpus, {}, sopts);
       return SecondsSince(t0);
     };
     obs_baseline_s = timed_run();

@@ -34,9 +34,6 @@
 // exiting); Stop() tears everything down. A worker crash is invisible to
 // clients beyond latency: the supervisor restarts it with backoff while
 // the router sends traffic elsewhere.
-//
-// Like the daemon, the broker refuses to run blind: with JFEED_OBS=OFF the
-// HTTP server is a stub whose Start() fails loudly.
 
 #include <atomic>
 #include <cstdint>

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "obs/metrics.h"
+
 namespace jfeed::obs {
 
 namespace {
@@ -247,14 +249,6 @@ bool FromJson(const std::string& json, WideEvent* event) {
   }
 }
 
-}  // namespace jfeed::obs
-
-#ifndef JFEED_OBS_DISABLED
-
-#include "obs/metrics.h"
-
-namespace jfeed::obs {
-
 namespace {
 
 /// Contract metric (DESIGN.md §6): events lost to ring wrap-around.
@@ -372,5 +366,3 @@ void EventLog::Clear() {
 }
 
 }  // namespace jfeed::obs
-
-#endif  // JFEED_OBS_DISABLED

@@ -24,17 +24,14 @@
 // must be called out in CHANGES.md. FromJson() accepts unknown fields for
 // the same forward-compatibility reason.
 //
-// Like the rest of src/obs, the recorder is runtime-gated (nothing records
-// until set_enabled(true)) and compiles to no-op stubs under JFEED_OBS=OFF.
+// Like the rest of src/obs, the recorder is runtime-gated: nothing records
+// until set_enabled(true).
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
-
-#ifndef JFEED_OBS_DISABLED
-#include <atomic>
-#include <mutex>
-#endif
 
 namespace jfeed::obs {
 
@@ -95,33 +92,6 @@ std::string ToJson(const WideEvent& event);
 /// this; the serving path never parses).
 bool FromJson(const std::string& json, WideEvent* event);
 
-#ifdef JFEED_OBS_DISABLED
-
-// ---------------------------------------------------------------------------
-// Compile-time-disabled stub.
-// ---------------------------------------------------------------------------
-
-class EventLog {
- public:
-  static constexpr size_t kDefaultCapacity = 1024;
-  static EventLog& Global() {
-    static EventLog log;
-    return log;
-  }
-  void set_enabled(bool) {}
-  bool enabled() const { return false; }
-  void SetCapacity(size_t) {}
-  size_t capacity() const { return 0; }
-  void Append(WideEvent) {}
-  std::vector<WideEvent> Snapshot() const { return {}; }
-  std::string RenderNdjson(size_t = 0) const { return ""; }
-  int64_t DroppedCount() const { return 0; }
-  size_t size() const { return 0; }
-  void Clear() {}
-};
-
-#else  // JFEED_OBS_DISABLED
-
 /// Bounded ring of the most recent wide events. Append is O(1) under one
 /// mutex — it runs once per graded submission (milliseconds of work), so
 /// unlike the metrics hot path it does not need sharding.
@@ -174,8 +144,6 @@ class EventLog {
   uint64_t next_seq_ = 1;
   int64_t dropped_ = 0;
 };
-
-#endif  // JFEED_OBS_DISABLED
 
 }  // namespace jfeed::obs
 

@@ -1,5 +1,18 @@
 #include "obs/http_server.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
+#include <cctype>
+#include <cerrno>
+#include <chrono>
+#include <cstdlib>
+#include <cstring>
+
 namespace jfeed::obs {
 
 const char* HttpStatusText(int status) {
@@ -26,25 +39,6 @@ std::string RequestHeader(const HttpRequest& request,
   }
   return "";
 }
-
-}  // namespace jfeed::obs
-
-#ifndef JFEED_OBS_DISABLED
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
-#include <cctype>
-#include <cerrno>
-#include <chrono>
-#include <cstdlib>
-#include <cstring>
-
-namespace jfeed::obs {
 
 namespace {
 
@@ -390,5 +384,3 @@ void HttpServer::ServeConnection(int fd) {
 }
 
 }  // namespace jfeed::obs
-
-#endif  // JFEED_OBS_DISABLED

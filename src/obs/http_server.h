@@ -17,26 +17,19 @@
 // handler callbacks run on worker threads and must therefore be
 // thread-safe; the introspection handlers are (Registry::Render and
 // Tracer::Snapshot aggregate under their own locks).
-//
-// Compiling with JFEED_OBS=OFF (-DJFEED_OBS_DISABLED) replaces the server
-// with a stub whose Start() fails with a clear error — the daemon refuses
-// to run without its monitoring surface rather than serving blind.
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "support/status.h"
-
-#ifndef JFEED_OBS_DISABLED
-#include <atomic>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
-#include <thread>
-#endif
 
 namespace jfeed::obs {
 
@@ -73,43 +66,6 @@ using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 
 /// Reason phrase for the handful of status codes the service emits.
 const char* HttpStatusText(int status);
-
-#ifdef JFEED_OBS_DISABLED
-
-// ---------------------------------------------------------------------------
-// Compile-time-disabled stub: registering handlers is a no-op and Start()
-// fails loudly, so a JFEED_OBS=OFF build cannot silently serve nothing.
-// ---------------------------------------------------------------------------
-
-class HttpServer {
- public:
-  struct Options {
-    uint16_t port = 0;
-    int workers = 4;
-    size_t max_request_bytes = 8u << 20;
-    size_t backlog = 64;
-    int64_t io_deadline_ms = 10'000;
-  };
-
-  HttpServer() {}
-  explicit HttpServer(Options) {}
-  ~HttpServer() = default;
-  HttpServer(const HttpServer&) = delete;
-  HttpServer& operator=(const HttpServer&) = delete;
-
-  void Handle(const std::string&, HttpHandler) {}
-  Status Start() {
-    return Status::Internal(
-        "introspection HTTP server compiled out (JFEED_OBS=OFF); rebuild "
-        "with -DJFEED_OBS=ON to serve /metrics, /healthz, /statusz, "
-        "/tracez, /events");
-  }
-  void Stop() {}
-  uint16_t port() const { return 0; }
-  bool serving() const { return false; }
-};
-
-#else  // JFEED_OBS_DISABLED
 
 class HttpServer {
  public:
@@ -181,8 +137,6 @@ class HttpServer {
   std::thread accept_thread_;
   std::vector<std::thread> workers_;
 };
-
-#endif  // JFEED_OBS_DISABLED
 
 }  // namespace jfeed::obs
 

@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#ifndef JFEED_OBS_DISABLED
-
 #include <algorithm>
 #include <bit>
 #include <unordered_map>
@@ -406,5 +404,3 @@ void Registry::ResetForTest() {
 }
 
 }  // namespace jfeed::obs
-
-#endif  // JFEED_OBS_DISABLED

@@ -14,29 +14,24 @@
 // hot paths never contend on a registry lock. Shards are aggregated on
 // scrape (`Registry::Render()` / `Value()`), and a dying thread folds its
 // cells into the owning instrument's retired sum, so counts survive worker
-// churn in the batch scheduler.
+// churn in the scheduler.
 //
 // The registry is runtime-gated: until a sink flips `set_enabled(true)`
 // (the `--metrics-out` flag, a test, a scrape loop), every Increment /
-// Record is a single relaxed load and an early return. Compiling with
-// JFEED_OBS=OFF (-DJFEED_OBS_DISABLED) replaces the whole API with inline
-// no-op stubs, removing even that load.
+// Record is a single relaxed load and an early return.
 //
 // Metric-name stability contract: names listed in DESIGN.md §6 are part of
 // the service's monitoring interface — renaming one is a breaking change
 // and must be called out in CHANGES.md.
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
-
-#ifndef JFEED_OBS_DISABLED
-#include <atomic>
-#include <array>
-#include <memory>
-#include <mutex>
-#endif
 
 namespace jfeed::obs {
 
@@ -54,69 +49,6 @@ struct HistogramExemplar {
   int64_t value = 0;
   std::string trace_id;
 };
-
-#ifdef JFEED_OBS_DISABLED
-
-// ---------------------------------------------------------------------------
-// Compile-time-disabled stubs: the full surface, each call inlined away.
-// ---------------------------------------------------------------------------
-
-class Counter {
- public:
-  void Increment(int64_t = 1) {}
-  int64_t Value() const { return 0; }
-};
-
-class Gauge {
- public:
-  void Set(int64_t) {}
-  void Add(int64_t) {}
-  int64_t Value() const { return 0; }
-};
-
-class Histogram {
- public:
-  static constexpr int kBucketCount = 32;
-  static int64_t BucketBound(int) { return 0; }
-  void Record(int64_t) {}
-  void RecordWithExemplar(int64_t, const std::string&) {}
-  int64_t Count() const { return 0; }
-  int64_t Sum() const { return 0; }
-  std::vector<std::pair<int, HistogramExemplar>> Exemplars() const {
-    return {};
-  }
-};
-
-class Registry {
- public:
-  static Registry& Global() {
-    static Registry registry;
-    return registry;
-  }
-  Counter* GetCounter(const std::string&, const std::string&,
-                      const Labels& = {}) {
-    static Counter counter;
-    return &counter;
-  }
-  Gauge* GetGauge(const std::string&, const std::string&,
-                  const Labels& = {}) {
-    static Gauge gauge;
-    return &gauge;
-  }
-  Histogram* GetHistogram(const std::string&, const std::string&,
-                          const Labels& = {}) {
-    static Histogram histogram;
-    return &histogram;
-  }
-  std::string Render() const {
-    return "# jfeed observability compiled out (JFEED_OBS=OFF)\n";
-  }
-  void set_enabled(bool) {}
-  bool enabled() const { return false; }
-  void ResetForTest() {}
-};
-
-#else  // JFEED_OBS_DISABLED
 
 /// Monotonically increasing counter. Increment() is wait-free against other
 /// instrumented threads: each thread adds to its own shard cell.
@@ -265,8 +197,6 @@ class Registry {
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Family>> families_;
 };
-
-#endif  // JFEED_OBS_DISABLED
 
 }  // namespace jfeed::obs
 

@@ -24,10 +24,7 @@
 // Events land on per-second slots in a fixed ring (window_s slots), so
 // recording is O(1) and a snapshot is one pass over the ring — no
 // per-event allocation on the grading hot path. The tracker is
-// runtime-gated (Configure() arms it; default off) and, being plain
-// accounting with no recording side channel, compiles identically in both
-// JFEED_OBS modes — under JFEED_OBS_DISABLED the jfeed_slo_* metric writes
-// hit the metrics stubs and vanish.
+// runtime-gated (Configure() arms it; default off).
 
 #include <cstdint>
 #include <map>

@@ -1,7 +1,5 @@
 #include "obs/trace.h"
 
-#ifndef JFEED_OBS_DISABLED
-
 #include <algorithm>
 #include <cstdio>
 
@@ -260,5 +258,3 @@ void Span::End() {
 }
 
 }  // namespace jfeed::obs
-
-#endif  // JFEED_OBS_DISABLED

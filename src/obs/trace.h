@@ -33,22 +33,16 @@
 // records store the pointer, not a copy. Annotate() attaches a small
 // free-form detail string (worker id, retry cause, ...) copied into the
 // record.
-//
-// Compiling with JFEED_OBS=OFF (-DJFEED_OBS_DISABLED) replaces the API
-// with inline no-op stubs.
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "obs/trace_context.h"
-
-#ifndef JFEED_OBS_DISABLED
-#include <atomic>
-#include <chrono>
-#include <memory>
-#include <mutex>
-#endif
 
 namespace jfeed::obs {
 
@@ -65,50 +59,6 @@ struct SpanRecord {
   int64_t end_ns = 0;
   std::string detail;       ///< Annotate() payload; empty for most spans.
 };
-
-#ifdef JFEED_OBS_DISABLED
-
-// ---------------------------------------------------------------------------
-// Compile-time-disabled stubs.
-// ---------------------------------------------------------------------------
-
-class Span;
-
-class Tracer {
- public:
-  static constexpr size_t kDefaultRingCapacity = size_t{1} << 15;
-  static Tracer& Global() {
-    static Tracer tracer;
-    return tracer;
-  }
-  void Enable(size_t = kDefaultRingCapacity) {}
-  void Disable() {}
-  bool enabled() const { return false; }
-  void Clear() {}
-  std::vector<SpanRecord> Snapshot() const { return {}; }
-  std::string ExportChromeJson(int = 1, const std::string& = "") const {
-    return "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}\n";
-  }
-  int64_t OpenSpanCount() const { return 0; }
-  int64_t DroppedCount() const { return 0; }
-};
-
-class Span {
- public:
-  explicit Span(const char*) {}
-  Span(const char*, const Span&) {}
-  Span(const char*, const TraceContext&) {}
-  ~Span() = default;
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  void End() {}
-  void Annotate(const std::string&) {}
-  uint64_t id() const { return 0; }
-  bool recording() const { return false; }
-  TraceContext context() const { return TraceContext{}; }
-};
-
-#else  // JFEED_OBS_DISABLED
 
 class Span;
 
@@ -244,8 +194,6 @@ class Span {
   const Span* prev_current_ = nullptr;
   bool ended_ = true;
 };
-
-#endif  // JFEED_OBS_DISABLED
 
 }  // namespace jfeed::obs
 

@@ -21,9 +21,7 @@
 // jfeed_trace_context_invalid_total.
 //
 // Unlike the span machinery in trace.h, everything here is plain string
-// and arithmetic code with no recording side effects, so it is available
-// unchanged in both JFEED_OBS modes (under JFEED_OBS_DISABLED the invalid
-// counter is the metrics stub and increments vanish).
+// and arithmetic code with no recording side effects.
 
 #include <cstdint>
 #include <string>

@@ -9,11 +9,10 @@
 
 namespace jfeed::sched {
 
-/// A bounded multi-producer/multi-consumer FIFO queue, the admission-control
-/// core of the batch scheduler. Capacity is a hard bound: producers either
-/// observe backpressure immediately (TryPush returns false on a full queue)
-/// or block until a consumer frees a slot (Push) — the queue never buffers
-/// beyond its capacity.
+/// A bounded multi-producer/multi-consumer FIFO queue, the job queue of the
+/// sharded scheduler. Capacity is a hard bound: producers observe
+/// backpressure immediately (TryPush returns false on a full queue) — the
+/// queue never buffers beyond its capacity.
 ///
 /// Close() starts a clean shutdown: producers are rejected from then on,
 /// consumers drain whatever was already admitted and then see std::nullopt.
@@ -37,32 +36,14 @@ class BoundedQueue {
     return true;
   }
 
-  /// Blocking admission: waits for a free slot; false when the queue was
-  /// closed before the value could be admitted.
-  bool Push(T value) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_full_.wait(lock,
-                     [this] { return closed_ || items_.size() < capacity_; });
-      if (closed_) return false;
-      items_.push_back(std::move(value));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Blocking removal: waits for an item; std::nullopt once the queue is
   /// closed and drained.
   std::optional<T> Pop() {
-    std::optional<T> out;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
-      if (items_.empty()) return std::nullopt;  // Closed and drained.
-      out.emplace(std::move(items_.front()));
-      items_.pop_front();
-    }
-    not_full_.notify_one();
+    std::unique_lock<std::mutex> lock(mu_);
+    not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
+    if (items_.empty()) return std::nullopt;  // Closed and drained.
+    std::optional<T> out(std::move(items_.front()));
+    items_.pop_front();
     return out;
   }
 
@@ -73,7 +54,6 @@ class BoundedQueue {
       closed_ = true;
     }
     not_empty_.notify_all();
-    not_full_.notify_all();
   }
 
   bool closed() const {
@@ -92,7 +72,6 @@ class BoundedQueue {
   const size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::deque<T> items_;
   bool closed_ = false;
 };

@@ -1,6 +1,7 @@
 #include "sched/sharded_scheduler.h"
 
 #include <chrono>
+#include <locale>
 #include <utility>
 
 #include "obs/event_log.h"
@@ -13,9 +14,10 @@ namespace jfeed::sched {
 
 namespace {
 
-// Aggregate scheduler signals shared with BatchScheduler — same family
-// names, so /statusz and existing dashboards read one truth regardless of
-// which engine is running.
+// Aggregate scheduler signals. Queue depth is a gauge (instantaneous
+// backlog); jobs/busy/idle are counters so utilization can be derived from
+// two scrapes as busy / (busy + idle) without the scheduler keeping rates
+// itself.
 obs::Gauge* QueueDepthGauge() {
   static obs::Gauge* gauge = obs::Registry::Global().GetGauge(
       "jfeed_sched_queue_depth", "Jobs currently waiting in the batch queue");
@@ -78,8 +80,11 @@ int64_t NowUs() {
       .count();
 }
 
-/// See BatchScheduler: libstdc++'s ctype<char> caches fill lazily and
-/// unsynchronized; touch them before worker threads exist.
+/// libstdc++'s ctype<char> facet fills its narrow()/widen() caches lazily
+/// and without synchronization; std::regex compilation hits them, so two
+/// workers compiling their first pattern concurrently race on the shared
+/// facet of the global locale. Touching every byte on the constructing
+/// thread before workers spawn makes all later accesses pure reads.
 void WarmCtypeCaches() {
   const auto& facet = std::use_facet<std::ctype<char>>(std::locale());
   for (int c = 0; c < 256; ++c) {
@@ -119,13 +124,10 @@ ShardedScheduler::ShardedScheduler(
     ShedTotal(assignment->id);
     GradeDurationUs(assignment->id);
   }
-  if (options_.use_result_cache) {
-    cache_ = std::make_shared<ResultCache>(options_.cache_capacity);
-  }
+  if (options_.use_result_cache) cache_ = std::make_shared<ResultCache>();
   if (options_.use_method_cache &&
       pipeline_options_.method_cache == nullptr) {
-    pipeline_options_.method_cache = std::make_shared<service::MethodCache>(
-        options_.method_cache_capacity);
+    pipeline_options_.method_cache = std::make_shared<service::MethodCache>();
   }
   WarmCtypeCaches();
   workers_.reserve(static_cast<size_t>(jobs_));
@@ -290,8 +292,10 @@ std::vector<MixedOutcome> ShardedScheduler::GradeMixedBatch(
   stats->submissions = items.size();
   std::vector<MixedOutcome> outcomes(items.size());
 
-  // Same chaos rule as BatchScheduler: dedup/cache off while an injection
-  // campaign runs, so every submission crosses the fault points.
+  // Dedup and the result cache are bypassed while an injection campaign is
+  // enabled: chaos tests must observe every submission actually crossing
+  // the fault points, and a fault-degraded outcome must never be replayed
+  // to a healthy duplicate after the campaign ends.
   const bool caching = cache_ != nullptr && !fault::Injector::Get().enabled();
   const bool recording = obs::EventLog::Global().enabled();
   auto record = [&items, recording](size_t i, const char* cache,
@@ -442,3 +446,39 @@ bool ShardedScheduler::Saturated() const {
 }
 
 }  // namespace jfeed::sched
+
+namespace jfeed::service {
+
+std::vector<GradingOutcome> GradeBatchParallel(
+    const kb::Assignment& assignment, std::vector<std::string> sources,
+    const PipelineOptions& pipeline_options,
+    sched::ShardedSchedulerOptions scheduler_options,
+    const std::vector<std::string>& ids, sched::BatchStats* stats) {
+  // The quota is the batch itself, so every line is admitted; the queued
+  // jobs hold at most one copy of the sources, which move into the items.
+  scheduler_options.shard_queue_capacity = sources.size();
+  sched::ShardedScheduler scheduler({&assignment}, pipeline_options,
+                                    scheduler_options);
+  std::vector<sched::MixedItem> items;
+  items.reserve(sources.size());
+  for (size_t i = 0; i < sources.size(); ++i) {
+    items.push_back(sched::MixedItem{assignment.id,
+                                     i < ids.size() ? ids[i] : "",
+                                     std::move(sources[i]),
+                                     obs::TraceContext()});
+  }
+  std::vector<GradingOutcome> outcomes;
+  outcomes.reserve(items.size());
+  for (sched::MixedOutcome& line : scheduler.GradeMixedBatch(items, stats)) {
+    if (!line.status.ok()) {
+      // Not reachable while the quota covers the batch; the outcome still
+      // says what happened rather than passing for an empty parse failure.
+      line.outcome.failure = FailureClass::kInternalFault;
+      line.outcome.diagnostic = line.status.ToString();
+    }
+    outcomes.push_back(std::move(line.outcome));
+  }
+  return outcomes;
+}
+
+}  // namespace jfeed::service

@@ -1,16 +1,16 @@
 #ifndef JFEED_SCHED_SHARDED_SCHEDULER_H_
 #define JFEED_SCHED_SHARDED_SCHEDULER_H_
 
-// Multi-tenant batch grading engine: one worker pool, one shard per
-// assignment, per-shard admission control.
+// The grading engine: one worker pool, one shard per assignment, per-shard
+// admission control. jfeedd runs one shard per served assignment;
+// single-assignment batch grading (GradeBatchParallel below, behind
+// `grade --batch`) runs one shard whose quota is the batch size.
 //
-// The single-assignment BatchScheduler scales a fleet only by running one
-// process (and one worker pool) per assignment. The ShardedScheduler is the
-// multi-tenant split of that design: all assignments are loaded at
-// construction, every worker thread can grade any of them (pipelines are
-// created lazily per (worker, assignment)), and the *only* per-assignment
-// resource is an admission quota — a bound on how many of one assignment's
-// submissions may be in the system (queued or grading) at once.
+// All assignments are loaded at construction, every worker thread can grade
+// any of them (pipelines are created lazily per (worker, assignment)), and
+// the *only* per-assignment resource is an admission quota — a bound on how
+// many of one assignment's submissions may be in the system (queued or
+// grading) at once.
 //
 // That quota is the isolation mechanism for deadline-day spikes: when
 // assignment A's students resubmit in a burst, A's submissions beyond its
@@ -28,7 +28,7 @@
 // busy/idle) keep working so /statusz and existing dashboards are unchanged.
 //
 // Destruction drains: every admitted submission is answered before workers
-// join, exactly like BatchScheduler.
+// join.
 
 #include <atomic>
 #include <condition_variable>
@@ -44,7 +44,6 @@
 #include "obs/trace_context.h"
 #include "sched/bounded_queue.h"
 #include "sched/result_cache.h"
-#include "sched/scheduler.h"
 #include "service/pipeline.h"
 #include "support/status.h"
 
@@ -60,12 +59,25 @@ struct ShardedSchedulerOptions {
   /// Content-addressed result cache shared across shards (keyed by
   /// (assignment, token fingerprint), so tenants never cross-hit).
   bool use_result_cache = true;
-  size_t cache_capacity = 4096;
   /// Method-level incremental grading (DESIGN.md §3d), shared across
   /// shards; entries are keyed by assignment id, so two tenants whose
   /// submissions share a method body still never cross-hit.
   bool use_method_cache = false;
-  size_t method_cache_capacity = 8192;
+};
+
+/// Per-batch accounting returned by GradeMixedBatch.
+struct BatchStats {
+  size_t submissions = 0;
+  size_t graded = 0;       ///< Submissions that actually ran the pipeline.
+  size_t cache_hits = 0;   ///< Served from the cross-batch result cache.
+  size_t dedup_hits = 0;   ///< Coalesced onto an in-flight duplicate.
+
+  /// Fraction of submissions that did not pay for a grade.
+  double HitRate() const {
+    return submissions == 0
+               ? 0.0
+               : static_cast<double>(cache_hits + dedup_hits) / submissions;
+  }
 };
 
 /// One input line of a mixed-assignment batch.
@@ -190,5 +202,25 @@ class ShardedScheduler {
 };
 
 }  // namespace jfeed::sched
+
+namespace jfeed::service {
+
+/// Service-level parallel counterpart of GradingPipeline::GradeBatch: same
+/// contract (element i corresponds to source i; every submission yields
+/// exactly one outcome), executed by a one-shard sched::ShardedScheduler
+/// with content-addressed dedup. The shard's admission quota is the batch
+/// size, so no submission is shed; `scheduler_options.shard_queue_capacity`
+/// is not consulted. `ids` (parallel to `sources`, or empty) name the
+/// flight-recorder events; `stats`, when non-null, receives the batch's
+/// dedup and cache accounting.
+std::vector<GradingOutcome> GradeBatchParallel(
+    const kb::Assignment& assignment, std::vector<std::string> sources,
+    const PipelineOptions& pipeline_options = PipelineOptions(),
+    sched::ShardedSchedulerOptions scheduler_options =
+        sched::ShardedSchedulerOptions(),
+    const std::vector<std::string>& ids = {},
+    sched::BatchStats* stats = nullptr);
+
+}  // namespace jfeed::service
 
 #endif  // JFEED_SCHED_SHARDED_SCHEDULER_H_

@@ -1,13 +1,5 @@
 #include "service/daemon.h"
 
-namespace jfeed::service {
-
-const char kJfeedVersion[] = "0.6.0";
-
-}  // namespace jfeed::service
-
-#ifndef JFEED_OBS_DISABLED
-
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -19,6 +11,8 @@ const char kJfeedVersion[] = "0.6.0";
 #include "sched/batch_io.h"
 
 namespace jfeed::service {
+
+const char kJfeedVersion[] = "0.6.0";
 
 namespace {
 
@@ -139,12 +133,12 @@ Status GradingDaemon::Start() {
   sched::ShardedSchedulerOptions scheduler_options;
   scheduler_options.jobs = options_.jobs;
   // The admission quota: an explicit shard_queue_capacity wins; otherwise a
-  // single-tenant daemon keeps the historical --queue semantics and a
-  // multi-tenant one gets a per-assignment default small enough that one
-  // spiking assignment cannot monopolize the worker pool.
+  // single-tenant daemon admits 256 and a multi-tenant one gets a
+  // per-assignment default small enough that one spiking assignment cannot
+  // monopolize the worker pool.
   scheduler_options.shard_queue_capacity =
       options_.shard_queue_capacity > 0 ? options_.shard_queue_capacity
-      : assignment_ids_.size() == 1     ? options_.queue_capacity
+      : assignment_ids_.size() == 1     ? 256
                                         : 64;
   scheduler_options.use_result_cache = options_.use_result_cache;
   scheduler_options.use_method_cache = options_.use_method_cache;
@@ -550,5 +544,3 @@ obs::HttpResponse GradingDaemon::HandleSloz(const obs::HttpRequest&) {
 }
 
 }  // namespace jfeed::service
-
-#endif  // JFEED_OBS_DISABLED

@@ -18,8 +18,9 @@
 //                   open-loop client (jfeed-loadgen) keys on.
 //   GET  /metrics   Prometheus text exposition (Registry::Render)
 //   GET  /healthz   readiness: 200 while serving, 503 while draining,
-//                   saturated (queue full) or degraded (recent grades
-//                   dominated by internal faults) — see DESIGN.md §6b
+//                   saturated (every shard at its admission quota) or
+//                   degraded (recent grades dominated by internal faults)
+//                   — see DESIGN.md §6b
 //   GET  /statusz   build info, uptime, scheduler utilization, cache hit
 //                   rate, one JSON object
 //   GET  /tracez    recent spans from the tracer rings as JSON; add
@@ -34,15 +35,12 @@
 // working — the window a load balancer needs to stop routing; Stop()
 // closes the server, drains in-flight grading and joins everything. The
 // tools/jfeedd.cc main wires SIGINT/SIGTERM to BeginDrain+Stop.
-//
-// Under JFEED_OBS=OFF the introspection surface does not exist, so Start()
-// refuses with a clear error instead of serving blind (the daemon's whole
-// point is live visibility).
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
-
 #include <vector>
 
 #include "obs/event_log.h"
@@ -51,11 +49,6 @@
 #include "sched/sharded_scheduler.h"
 #include "service/pipeline.h"
 #include "support/status.h"
-
-#ifndef JFEED_OBS_DISABLED
-#include <atomic>
-#include <chrono>
-#endif
 
 namespace jfeed::service {
 
@@ -75,11 +68,9 @@ struct DaemonOptions {
   uint16_t port = 0;
   /// Worker threads shared across every assignment shard.
   int jobs = 4;
-  /// Single-tenant admission quota (kept for back-compat with --queue).
-  size_t queue_capacity = 256;
-  /// Per-assignment admission quota in multi-tenant mode: submissions of
-  /// one assignment in the system (queued or grading) before further ones
-  /// are shed with 429. 0 = queue_capacity when single-tenant, 64 others.
+  /// Per-assignment admission quota: submissions of one assignment in the
+  /// system (queued or grading) before further ones are shed with 429.
+  /// 0 = 256 when single-tenant, 64 per assignment when multi-tenant.
   size_t shard_queue_capacity = 0;
   /// Retry-After header value (seconds) on fully-shed (HTTP 429) responses
   /// and the retry_after_s hint on per-line sheds.
@@ -115,30 +106,6 @@ struct DaemonOptions {
   /// to shed.
   bool slo_health = true;
 };
-
-#ifdef JFEED_OBS_DISABLED
-
-class GradingDaemon {
- public:
-  explicit GradingDaemon(DaemonOptions options) : options_(std::move(options)) {}
-  Status Start() {
-    return Status::Internal(
-        "jfeedd was built with JFEED_OBS=OFF: the introspection endpoints "
-        "(/metrics, /healthz, /statusz, /tracez, /events) are compiled out "
-        "and a grading daemon without live monitoring is not serviceable; "
-        "rebuild with -DJFEED_OBS=ON");
-  }
-  void BeginDrain() {}
-  void Stop() {}
-  uint16_t port() const { return 0; }
-  bool serving() const { return false; }
-  bool draining() const { return false; }
-
- private:
-  DaemonOptions options_;
-};
-
-#else  // JFEED_OBS_DISABLED
 
 class GradingDaemon {
  public:
@@ -190,8 +157,6 @@ class GradingDaemon {
   std::chrono::steady_clock::time_point started_;
   int64_t start_unix_ms_ = 0;
 };
-
-#endif  // JFEED_OBS_DISABLED
 
 }  // namespace jfeed::service
 

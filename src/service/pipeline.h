@@ -191,8 +191,9 @@ void CountCacheDisposition(const char* disposition);
 /// come from running the reference over the suite inputs), so without a
 /// memo the reference runs once per *submission*; with one it runs once per
 /// (assignment, test input). One oracle is private to each pipeline by
-/// default; the batch scheduler shares a single oracle across its worker
-/// pipelines so a whole parallel batch pays the reference cost once.
+/// default; the scheduler shares a single oracle per assignment shard
+/// across its worker pipelines so a whole parallel batch pays the reference
+/// cost once.
 ///
 /// While a fault-injection campaign is enabled the memo is bypassed in both
 /// directions — nothing is served from it and nothing is stored — so chaos
@@ -224,7 +225,7 @@ class GradingPipeline {
  public:
   /// `oracle` memoizes the reference solution's expected outputs; pass a
   /// shared instance to amortize the reference run across pipelines (the
-  /// batch scheduler does), or leave it null for a private one.
+  /// scheduler does), or leave it null for a private one.
   explicit GradingPipeline(const kb::Assignment& assignment,
                            PipelineOptions options = PipelineOptions(),
                            std::shared_ptr<ReferenceOracle> oracle = nullptr)

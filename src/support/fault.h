@@ -51,7 +51,7 @@ inline constexpr const char kMethodCacheLookup[] = "cache.method_lookup";
 /// Ordinal semantics under concurrency: hit ordinals are GLOBAL, not
 /// per-thread — MaybeFail serializes on the injector mutex and assigns each
 /// crossing of a point the next ordinal in process-wide arrival order.
-/// Consequences for the parallel batch scheduler:
+/// Consequences for the parallel scheduler:
 ///
 ///  - Campaigns whose decision ignores the ordinal — `probability == 1.0`
 ///    (with or without `only_point`) or `probability == 0.0` — are
@@ -65,7 +65,7 @@ inline constexpr const char kMethodCacheLookup[] = "cache.method_lookup";
 ///    still deterministic). Single-threaded grading keeps the original
 ///    exact reproducibility.
 ///
-/// The batch scheduler additionally bypasses its result cache and
+/// The scheduler additionally bypasses its result cache and
 /// duplicate-submission dedup while an injection campaign is enabled, so
 /// every submission actually crosses the points a campaign targets.
 struct FaultConfig {
@@ -81,8 +81,7 @@ struct FaultConfig {
 /// Process-wide deterministic fault injector, in the style of RocksDB's
 /// SyncPoint: a registry of named points compiled into the production code
 /// paths. Disabled (the default) it costs one relaxed atomic load per
-/// crossing; compiling with JFEED_FAULT_INJECTION_DISABLED removes the
-/// crossings entirely (see the JFEED_FAULT_POINT macro below).
+/// crossing (see the JFEED_FAULT_POINT macro below).
 class Injector {
  public:
   static Injector& Get();
@@ -137,14 +136,7 @@ class ScopedFaultInjection {
 }  // namespace jfeed::fault
 
 /// Marks a fault-injection point inside a function returning Status or
-/// Result<T>. Expands to nothing when JFEED_FAULT_INJECTION_DISABLED is
-/// defined (the CMake option JFEED_FAULT_INJECTION=OFF), so release builds
-/// can opt out at zero cost.
-#ifdef JFEED_FAULT_INJECTION_DISABLED
-#define JFEED_FAULT_POINT(point) \
-  do {                           \
-  } while (0)
-#else
+/// Result<T>.
 #define JFEED_FAULT_POINT(point)                                  \
   do {                                                            \
     if (::jfeed::fault::Injector::Get().enabled()) {              \
@@ -153,6 +145,5 @@ class ScopedFaultInjection {
       if (!_jfeed_fault_status.ok()) return _jfeed_fault_status;  \
     }                                                             \
   } while (0)
-#endif
 
 #endif  // JFEED_SUPPORT_FAULT_H_

@@ -15,8 +15,6 @@
 namespace jfeed::fleet {
 namespace {
 
-#ifndef JFEED_OBS_DISABLED
-
 /// A scriptable in-process stand-in for one jfeedd worker: /healthz and
 /// /grade behaviour are switchable at runtime, so one test can walk a
 /// worker through healthy -> failing -> recovered without real processes.
@@ -352,8 +350,6 @@ TEST_F(RouterTest, FleetMetricsArePublished) {
                 ->Value(),
             1);
 }
-
-#endif  // JFEED_OBS_DISABLED
 
 }  // namespace
 }  // namespace jfeed::fleet

@@ -11,7 +11,7 @@
 #include "kb/assignments.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sched/scheduler.h"
+#include "sched/sharded_scheduler.h"
 #include "service/pipeline.h"
 #include "support/fault.h"
 
@@ -148,7 +148,7 @@ TEST(ChaosTest, ParallelBatchUnderSeededCampaignLandsOnDocumentedRung) {
     std::vector<service::GradingOutcome> outcomes;
     {
       fault::ScopedFaultInjection injection(config);
-      sched::SchedulerOptions sopts;
+      sched::ShardedSchedulerOptions sopts;
       sopts.jobs = 8;
       outcomes = service::GradeBatchParallel(assignment, corpus, {}, sopts);
     }
@@ -182,28 +182,31 @@ TEST(ChaosTest, ParallelBatchUnderSeededCampaignLandsOnDocumentedRung) {
 TEST(ChaosTest, FaultDegradedOutcomesNeverPoisonTheCache) {
   const auto& assignment =
       kb::KnowledgeBase::Get().assignment("assignment1");
-  std::vector<std::string> corpus(4, assignment.Reference());
-  sched::BatchScheduler scheduler(assignment);
+  std::vector<sched::MixedItem> batch(
+      4, sched::MixedItem{assignment.id, "", assignment.Reference(), {}});
+  sched::ShardedScheduler scheduler({&assignment});
   {
     fault::FaultConfig config;
     config.only_point = fault::points::kEpdgBuilder;
     fault::ScopedFaultInjection injection(config);
     sched::BatchStats stats;
-    auto poisoned = scheduler.GradeBatchWithStats(corpus, &stats);
-    EXPECT_EQ(stats.graded, corpus.size()) << "dedup not bypassed";
-    for (const auto& outcome : poisoned) {
-      EXPECT_EQ(outcome.tier, FeedbackTier::kAstOnly);
+    auto poisoned = scheduler.GradeMixedBatch(batch, &stats);
+    EXPECT_EQ(stats.graded, batch.size()) << "dedup not bypassed";
+    for (const auto& line : poisoned) {
+      ASSERT_TRUE(line.status.ok()) << line.status.ToString();
+      EXPECT_EQ(line.outcome.tier, FeedbackTier::kAstOnly);
     }
   }
   // Campaign over: the same submissions grade healthy, not from a cache.
-  auto healthy = scheduler.GradeBatch(corpus);
-  for (const auto& outcome : healthy) {
-    EXPECT_EQ(outcome.verdict, Verdict::kCorrect);
-    EXPECT_FALSE(outcome.degraded());
+  sched::BatchStats stats;
+  auto healthy = scheduler.GradeMixedBatch(batch, &stats);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  for (const auto& line : healthy) {
+    ASSERT_TRUE(line.status.ok()) << line.status.ToString();
+    EXPECT_EQ(line.outcome.verdict, Verdict::kCorrect);
+    EXPECT_FALSE(line.outcome.degraded());
   }
 }
-
-#ifndef JFEED_OBS_DISABLED
 
 /// Every non-comment line of a Prometheus text dump is `name{labels} value`
 /// or `name value`; anything else means Render() emitted garbage.
@@ -306,8 +309,6 @@ TEST(ChaosTest, MetricsAndTracesStayCoherentAfterFaultCampaign) {
   registry.set_enabled(false);
   registry.ResetForTest();
 }
-
-#endif  // JFEED_OBS_DISABLED
 
 TEST(ChaosTest, BatchUnderFaultsYieldsOneOutcomePerSubmission) {
   const auto& assignment =

@@ -21,8 +21,6 @@
 namespace jfeed {
 namespace {
 
-#ifndef JFEED_OBS_DISABLED
-
 using jfeed::testutil::HttpFetch;
 
 std::string JsonEscape(const std::string& s) {
@@ -482,21 +480,6 @@ TEST_F(DaemonTest, ConcurrentScrapesDuringBatch) {
   EXPECT_EQ(graded.status, 200);
   EXPECT_EQ(scrape_failures.load(), 0);
 }
-
-#else  // JFEED_OBS_DISABLED
-
-TEST(DaemonStubTest, StartRefusesWithClearError) {
-  service::DaemonOptions options;
-  options.assignment_id = "assignment1";
-  service::GradingDaemon daemon(options);
-  Status status = daemon.Start();
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("JFEED_OBS=OFF"), std::string::npos);
-  EXPECT_FALSE(daemon.serving());
-  daemon.Stop();
-}
-
-#endif  // JFEED_OBS_DISABLED
 
 }  // namespace
 }  // namespace jfeed

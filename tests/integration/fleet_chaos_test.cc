@@ -29,8 +29,6 @@
 namespace jfeed {
 namespace {
 
-#ifndef JFEED_OBS_DISABLED
-
 int64_t CounterValue(const std::string& name, const obs::Labels& labels) {
   return obs::Registry::Global().GetCounter(name, "", labels)->Value();
 }
@@ -272,8 +270,6 @@ TEST_F(FleetChaosTest, SlowResponsesAreRetriedLikeCrashes) {
   EXPECT_GE(fault::Injector::Get().Hits(fault::points::kFleetSlowResponse),
             12);
 }
-
-#endif  // JFEED_OBS_DISABLED
 
 }  // namespace
 }  // namespace jfeed

@@ -28,8 +28,6 @@
 namespace jfeed {
 namespace {
 
-#ifndef JFEED_OBS_DISABLED
-
 class FleetTraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -210,8 +208,6 @@ TEST_F(FleetTraceTest, LegacyUntracedRouteStillGrades) {
   // The worker still stamps a (minted) trace id into the outcome.
   EXPECT_NE(response.body.find("\"trace_id\":\""), std::string::npos);
 }
-
-#endif  // JFEED_OBS_DISABLED
 
 }  // namespace
 }  // namespace jfeed

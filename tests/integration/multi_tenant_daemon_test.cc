@@ -18,8 +18,6 @@
 #include "service/daemon.h"
 #include "tests/testutil/http_client.h"
 
-#ifndef JFEED_OBS_DISABLED
-
 namespace jfeed {
 namespace {
 
@@ -317,5 +315,3 @@ TEST_F(MultiTenantDaemonTest, DefaultLoadsEveryAssignment) {
 
 }  // namespace
 }  // namespace jfeed
-
-#endif  // JFEED_OBS_DISABLED

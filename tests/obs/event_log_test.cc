@@ -119,8 +119,6 @@ TEST(WideEventJsonTest, FromJsonIgnoresUnknownFieldsAndRejectsGarbage) {
   EXPECT_FALSE(FromJson("{\"verdict\":", &e));
 }
 
-#ifndef JFEED_OBS_DISABLED
-
 class EventLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -225,21 +223,6 @@ TEST_F(EventLogTest, SetCapacityKeepsNewestEvents) {
   EXPECT_EQ(events[1].submission_id, "s-5");
   EXPECT_EQ(EventLog::Global().capacity(), 2u);
 }
-
-#else  // JFEED_OBS_DISABLED
-
-TEST(EventLogStubTest, StubsCompileAndDoNothing) {
-  EventLog& log = EventLog::Global();
-  log.set_enabled(true);
-  EXPECT_FALSE(log.enabled());
-  log.Append(WideEvent());
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_TRUE(log.Snapshot().empty());
-  EXPECT_EQ(log.RenderNdjson(), "");
-  EXPECT_EQ(log.DroppedCount(), 0);
-}
-
-#endif  // JFEED_OBS_DISABLED
 
 }  // namespace
 }  // namespace jfeed::obs

@@ -12,8 +12,6 @@
 namespace jfeed::obs {
 namespace {
 
-#ifndef JFEED_OBS_DISABLED
-
 using jfeed::testutil::HttpFetch;
 
 /// Starts a server on an ephemeral loopback port with the given routes.
@@ -228,21 +226,6 @@ TEST(HttpStatusTextTest, KnownAndUnknownCodes) {
   // Unknown codes still produce a non-empty reason phrase.
   EXPECT_NE(HttpStatusText(299)[0], '\0');
 }
-
-#else  // JFEED_OBS_DISABLED
-
-TEST(HttpServerStubTest, StartFailsLoudly) {
-  HttpServer server;
-  server.Handle("/metrics", [](const HttpRequest&) { return HttpResponse(); });
-  Status status = server.Start();
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("compiled out"), std::string::npos);
-  EXPECT_FALSE(server.serving());
-  EXPECT_EQ(server.port(), 0);
-  server.Stop();
-}
-
-#endif  // JFEED_OBS_DISABLED
 
 }  // namespace
 }  // namespace jfeed::obs

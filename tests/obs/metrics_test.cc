@@ -7,14 +7,8 @@
 
 #include "gtest/gtest.h"
 
-// The metrics tests run against the real (JFEED_OBS=ON) implementation;
-// under JFEED_OBS=OFF the whole suite degenerates to stub smoke tests,
-// which is itself worth compiling (it proves the stub API surface matches).
-
 namespace jfeed::obs {
 namespace {
-
-#ifndef JFEED_OBS_DISABLED
 
 class MetricsTest : public ::testing::Test {
  protected:
@@ -234,19 +228,6 @@ TEST_F(MetricsTest, ResetForTestZeroesButKeepsPointersValid) {
   c->Increment();
   EXPECT_EQ(c->Value(), 1);
 }
-
-#else  // JFEED_OBS_DISABLED
-
-TEST(MetricsStubTest, StubsCompileAndDoNothing) {
-  Counter* c = Registry::Global().GetCounter("stub", "help");
-  c->Increment(5);
-  EXPECT_EQ(c->Value(), 0);
-  EXPECT_FALSE(Registry::Global().enabled());
-  EXPECT_NE(Registry::Global().Render().find("compiled out"),
-            std::string::npos);
-}
-
-#endif  // JFEED_OBS_DISABLED
 
 }  // namespace
 }  // namespace jfeed::obs

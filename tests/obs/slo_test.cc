@@ -8,9 +8,7 @@
 
 // SLO / error-budget tests. All time flows through explicit now_s values
 // (SloTracker takes the clock as a parameter for exactly this reason), so
-// window roll-over and burn-rate math are exercised without sleeping. The
-// accounting itself is mode-independent; only the jfeed_slo_* metric
-// assertions are gated on JFEED_OBS, since the stubs swallow writes.
+// window roll-over and burn-rate math are exercised without sleeping.
 
 namespace jfeed::obs {
 namespace {
@@ -208,8 +206,6 @@ TEST_F(SloTrackerTest, RenderSlozJsonCarriesPolicyAndBudgets) {
   EXPECT_NE(json.find("\"shed_total\":1"), std::string::npos);
 }
 
-#ifndef JFEED_OBS_DISABLED
-
 TEST_F(SloTrackerTest, SnapshotExportsContractMetrics) {
   tracker_.RecordGrade("assignment1", 1, 100);
   tracker_.RecordGrade("assignment1", 200'000, 100);  // Burns budget.
@@ -237,8 +233,6 @@ TEST_F(SloTrackerTest, SnapshotExportsContractMetrics) {
                 "result=\"bad\"} 1"),
       std::string::npos);
 }
-
-#endif  // JFEED_OBS_DISABLED
 
 TEST(AggregateSlozTest, SumsWorkersAndRederivesBudget) {
   SloTracker a;

@@ -6,11 +6,7 @@
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 
-// W3C trace-context propagation tests. TraceContext is deliberately
-// available in both JFEED_OBS modes (it is plain string/arithmetic code),
-// so everything here runs under JFEED_OBS=OFF too — only the
-// jfeed_trace_context_invalid_total counter assertions are gated, because
-// the metrics stubs swallow increments in that mode.
+// W3C trace-context propagation tests.
 
 namespace jfeed::obs {
 namespace {
@@ -138,8 +134,6 @@ TEST(TraceContextTest, ContextFromHeaderMintsOnMissingOrInvalid) {
   EXPECT_TRUE(recovered.valid());
 }
 
-#ifndef JFEED_OBS_DISABLED
-
 TEST(TraceContextTest, InvalidHeadersAreCountedValidAndMissingAreNot) {
   Registry::Global().ResetForTest();
   Registry::Global().set_enabled(true);
@@ -163,8 +157,6 @@ TEST(TraceContextTest, InvalidHeadersAreCountedValidAndMissingAreNot) {
   Registry::Global().set_enabled(false);
   Registry::Global().ResetForTest();
 }
-
-#endif  // JFEED_OBS_DISABLED
 
 }  // namespace
 }  // namespace jfeed::obs

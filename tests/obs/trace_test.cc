@@ -11,8 +11,6 @@
 namespace jfeed::obs {
 namespace {
 
-#ifndef JFEED_OBS_DISABLED
-
 class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -205,18 +203,6 @@ TEST_F(TraceTest, ClearDropsRecordsAndDroppedCount) {
   EXPECT_TRUE(Tracer::Global().Snapshot().empty());
   EXPECT_EQ(Tracer::Global().DroppedCount(), 0);
 }
-
-#else  // JFEED_OBS_DISABLED
-
-TEST(TraceStubTest, StubsCompileAndDoNothing) {
-  Span span("stub");
-  EXPECT_FALSE(span.recording());
-  EXPECT_TRUE(Tracer::Global().Snapshot().empty());
-  EXPECT_NE(Tracer::Global().ExportChromeJson().find("traceEvents"),
-            std::string::npos);
-}
-
-#endif  // JFEED_OBS_DISABLED
 
 }  // namespace
 }  // namespace jfeed::obs

@@ -1,14 +1,17 @@
-// Multi-tenant scheduler correctness: mixed-assignment batches must grade
-// exactly like per-assignment pipelines, per-shard admission control must
-// shed the spiking tenant and only the spiking tenant, and destruction must
-// answer every admitted submission.
+// Scheduler correctness. Mixed-assignment batches must grade exactly like
+// per-assignment pipelines, per-shard admission control must shed the
+// spiking tenant and only the spiking tenant, and destruction must answer
+// every admitted submission. The one-shard batch path (GradeBatchParallel)
+// must be indistinguishable from sequential GradeBatch in everything the
+// service contract promises — verdict, tier, failure class, feedback text,
+// functional verdict — across every knowledge-base assignment, with
+// results in input order, dedup accounted, and no line ever shed.
 
 #include "sched/sharded_scheduler.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "kb/assignments.h"
@@ -29,10 +32,56 @@ std::vector<const kb::Assignment*> Assignments(
   return assignments;
 }
 
-// Metric reads are meaningful only with real instruments; under
-// -DJFEED_OBS=OFF the stubs report zero, so those assertions compile out
-// while the admission-control behavior itself stays covered.
-#ifndef JFEED_OBS_DISABLED
+const kb::Assignment& Assignment1() {
+  return kb::KnowledgeBase::Get().assignment("assignment1");
+}
+
+/// The fields the scheduler guarantees byte-identical to sequential
+/// grading (timings and position-bearing diagnostics of cached duplicates
+/// are explicitly excluded; see ResultCache).
+void ExpectEquivalent(const service::GradingOutcome& sequential,
+                      const service::GradingOutcome& parallel,
+                      const std::string& context) {
+  SCOPED_TRACE(context);
+  EXPECT_EQ(sequential.verdict, parallel.verdict);
+  EXPECT_EQ(sequential.tier, parallel.tier);
+  EXPECT_EQ(sequential.failure, parallel.failure);
+  EXPECT_EQ(sequential.feedback.matched, parallel.feedback.matched);
+  EXPECT_EQ(sequential.feedback.score, parallel.feedback.score);
+  ASSERT_EQ(sequential.feedback.comments.size(),
+            parallel.feedback.comments.size());
+  for (size_t c = 0; c < sequential.feedback.comments.size(); ++c) {
+    EXPECT_EQ(sequential.feedback.comments[c].kind,
+              parallel.feedback.comments[c].kind);
+    EXPECT_EQ(sequential.feedback.comments[c].message,
+              parallel.feedback.comments[c].message);
+    EXPECT_EQ(sequential.feedback.comments[c].details,
+              parallel.feedback.comments[c].details);
+  }
+  EXPECT_EQ(sequential.functional_ran, parallel.functional_ran);
+  if (sequential.functional_ran) {
+    EXPECT_EQ(sequential.functional.passed, parallel.functional.passed);
+    EXPECT_EQ(sequential.functional.tests_run, parallel.functional.tests_run);
+    EXPECT_EQ(sequential.functional.tests_failed,
+              parallel.functional.tests_failed);
+  }
+}
+
+/// A small but adversarial corpus for one assignment: reference, error
+/// variants, a comment/whitespace-perturbed duplicate of the reference,
+/// a spec-mismatching-but-parseable member, and unparseable garbage.
+std::vector<std::string> Corpus(const kb::Assignment& assignment) {
+  std::vector<std::string> corpus;
+  auto indexes = synth::SampleIndexes(assignment.generator.SpaceSize(), 5);
+  for (uint64_t index : indexes) {
+    corpus.push_back(assignment.generator.Generate(index));
+  }
+  corpus.push_back("// dup\n" + assignment.Reference() + "\n\n");
+  corpus.push_back("void unrelated(int q) { q = q + 1; }");
+  corpus.push_back("int broken( { ][");
+  return corpus;
+}
+
 int64_t ShedCount(const std::string& assignment) {
   return obs::Registry::Global()
       .GetCounter("jfeed_shed_total", "", {{"assignment", assignment}})
@@ -45,7 +94,6 @@ int64_t GradeCount(const std::string& assignment) {
                     {{"assignment", assignment}})
       ->Count();
 }
-#endif  // JFEED_OBS_DISABLED
 
 class ShardedSchedulerTest : public ::testing::Test {
  protected:
@@ -134,9 +182,7 @@ TEST_F(ShardedSchedulerTest, QuotaShedsSpikingShardOnly) {
   Status shed =
       scheduler.Submit("assignment1", slow, "spike-2", &shed_ticket);
   EXPECT_EQ(shed.code(), StatusCode::kUnavailable) << shed.ToString();
-#ifndef JFEED_OBS_DISABLED
   EXPECT_EQ(ShedCount("assignment1"), 1);
-#endif
 
   // The other tenant is unaffected: admission open, no sheds recorded.
   const auto& other = kb::KnowledgeBase::Get().assignment("mitx-polynomials");
@@ -145,9 +191,7 @@ TEST_F(ShardedSchedulerTest, QuotaShedsSpikingShardOnly) {
                   .Submit("mitx-polynomials", other.Reference(), "calm-1",
                           &other_ticket)
                   .ok());
-#ifndef JFEED_OBS_DISABLED
   EXPECT_EQ(ShedCount("mitx-polynomials"), 0);
-#endif
 
   // Every accepted submission is answered; the shed one consumed no slot.
   auto slow_outcome = scheduler.Wait(slow_ticket);
@@ -166,12 +210,10 @@ TEST_F(ShardedSchedulerTest, QuotaShedsSpikingShardOnly) {
                           "retry", &retry_ticket)
                   .ok());
   scheduler.Wait(retry_ticket);
-#ifndef JFEED_OBS_DISABLED
   EXPECT_EQ(GradeCount("assignment1"), 2);
   EXPECT_EQ(GradeCount("mitx-polynomials"), 1);
   EXPECT_EQ(ShedCount("assignment1"), 1);
   EXPECT_EQ(ShedCount("mitx-polynomials"), 0);
-#endif
 }
 
 TEST_F(ShardedSchedulerTest, SaturatedOnlyWhenEveryShardIsAtQuota) {
@@ -257,6 +299,130 @@ TEST_F(ShardedSchedulerTest, CacheIsKeyedPerAssignment) {
   EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_EQ(stats.graded, 0u);
   EXPECT_EQ(third[0].disposition, std::string("hit"));
+}
+
+TEST_F(ShardedSchedulerTest, BatchQuotaIsTheBatchSize) {
+  // One worker cannot keep up with non-blocking admission, so a quota
+  // smaller than the batch (such as the default 64) would shed the tail.
+  const kb::Assignment& assignment = Assignment1();
+  std::vector<std::string> corpus;
+  for (uint64_t index :
+       synth::SampleIndexes(assignment.generator.SpaceSize(), 100)) {
+    corpus.push_back(assignment.generator.Generate(index));
+  }
+  ASSERT_EQ(corpus.size(), 100u);
+  ShardedSchedulerOptions sopts;
+  sopts.jobs = 1;
+  BatchStats stats;
+  auto outcomes = service::GradeBatchParallel(assignment, corpus, {}, sopts,
+                                              {}, &stats);
+  ASSERT_EQ(outcomes.size(), corpus.size());
+  EXPECT_EQ(stats.graded, corpus.size());
+  size_t not_graded = 0;
+  for (const auto& outcome : outcomes) {
+    not_graded += outcome.verdict == service::Verdict::kNotGraded ? 1 : 0;
+  }
+  EXPECT_EQ(not_graded, 0u);
+  EXPECT_EQ(ShedCount(assignment.id), 0);
+}
+
+TEST(SchedulerDeterminismTest, ParallelMatchesSequentialOnAllAssignments) {
+  for (const auto& id : kb::KnowledgeBase::Get().assignment_ids()) {
+    const auto& assignment = kb::KnowledgeBase::Get().assignment(id);
+    std::vector<std::string> corpus = Corpus(assignment);
+
+    service::GradingPipeline pipeline(assignment);
+    auto sequential = pipeline.GradeBatch(corpus);
+
+    ShardedSchedulerOptions sopts;
+    sopts.jobs = 8;
+    auto parallel =
+        service::GradeBatchParallel(assignment, corpus, {}, sopts);
+
+    ASSERT_EQ(sequential.size(), parallel.size());
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      ExpectEquivalent(sequential[i], parallel[i],
+                       id + " / submission " + std::to_string(i));
+    }
+  }
+}
+
+TEST(SchedulerTest, ResultsComeBackInInputOrder) {
+  // Mix fast (garbage) and slow (functional-suite) members; input order
+  // must survive arbitrary completion order.
+  // The two parse-failing members differ only in the line their error lands
+  // on, so the diagnostics pin each outcome to its input slot.
+  std::vector<std::string> corpus = {
+      Assignment1().Reference(),
+      "(",
+      Assignment1().Reference(),
+      "\n\n\n(",
+  };
+  ShardedSchedulerOptions sopts;
+  sopts.jobs = 4;
+  sopts.use_result_cache = false;  // Force all four through workers.
+  auto outcomes = service::GradeBatchParallel(Assignment1(), corpus, {}, sopts);
+  ASSERT_EQ(outcomes.size(), 4u);
+  EXPECT_EQ(outcomes[0].verdict, service::Verdict::kCorrect);
+  EXPECT_EQ(outcomes[1].verdict, service::Verdict::kNotGraded);
+  EXPECT_NE(outcomes[1].diagnostic.find("line 1"), std::string::npos)
+      << "order scrambled: " << outcomes[1].diagnostic;
+  EXPECT_EQ(outcomes[2].verdict, service::Verdict::kCorrect);
+  EXPECT_EQ(outcomes[3].verdict, service::Verdict::kNotGraded);
+  EXPECT_NE(outcomes[3].diagnostic.find("line 4"), std::string::npos)
+      << "order scrambled: " << outcomes[3].diagnostic;
+}
+
+TEST(SchedulerTest, DuplicatesAreGradedOnceAndAccounted) {
+  std::vector<MixedItem> batch(
+      6, MixedItem{"assignment1", "", Assignment1().Reference(), {}});
+  batch.push_back(MixedItem{"assignment1", "",
+                            "// perturbed\n" + Assignment1().Reference(), {}});
+
+  ShardedScheduler scheduler({&Assignment1()});
+  BatchStats stats;
+  auto outcomes = scheduler.GradeMixedBatch(batch, &stats);
+  ASSERT_EQ(outcomes.size(), 7u);
+  EXPECT_EQ(stats.submissions, 7u);
+  EXPECT_EQ(stats.graded, 1u);      // One pipeline run for all seven.
+  EXPECT_EQ(stats.dedup_hits, 6u);  // Six coalesced onto it.
+  for (const auto& line : outcomes) {
+    EXPECT_EQ(line.outcome.verdict, service::Verdict::kCorrect);
+  }
+
+  // A second batch over the same content is served entirely from the
+  // cache: with nothing in flight there is nothing to coalesce onto, so
+  // every member counts as a cache hit, not a dedup hit.
+  auto again = scheduler.GradeMixedBatch(batch, &stats);
+  EXPECT_EQ(stats.graded, 0u);
+  EXPECT_EQ(stats.cache_hits, 7u);
+  EXPECT_EQ(stats.dedup_hits, 0u);
+  EXPECT_DOUBLE_EQ(stats.HitRate(), 1.0);
+  EXPECT_EQ(again[0].outcome.verdict, service::Verdict::kCorrect);
+}
+
+TEST(SchedulerTest, StreamingSubmitWaitRoundTrip) {
+  ShardedSchedulerOptions sopts;
+  sopts.jobs = 2;
+  ShardedScheduler scheduler({&Assignment1()}, {}, sopts);
+  uint64_t good = 0, bad = 0;
+  ASSERT_TRUE(
+      scheduler.Submit("assignment1", Assignment1().Reference(), "", &good)
+          .ok());
+  ASSERT_TRUE(scheduler.Submit("assignment1", "garbage (", "", &bad).ok());
+  EXPECT_EQ(scheduler.Wait(bad).verdict, service::Verdict::kNotGraded);
+  EXPECT_EQ(scheduler.Wait(good).verdict, service::Verdict::kCorrect);
+}
+
+TEST(SchedulerTest, JobsClampedToAtLeastOne) {
+  ShardedSchedulerOptions sopts;
+  sopts.jobs = 0;
+  ShardedScheduler scheduler({&Assignment1()}, {}, sopts);
+  EXPECT_EQ(scheduler.jobs(), 1);
+  auto outcomes = scheduler.GradeMixedBatch(
+      {MixedItem{"assignment1", "", Assignment1().Reference(), {}}});
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].outcome.verdict, service::Verdict::kCorrect);
 }
 
 }  // namespace

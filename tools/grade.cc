@@ -23,10 +23,9 @@
 // per line — either {"id": "...", "source": "..."} or a bare JSON string —
 // and the output is NDJSON too, one JSON outcome per line in input order
 // (each outcome carries the line's id and index). Submissions are graded by
-// the concurrent batch engine: a worker pool with a content-addressed
-// result cache, so duplicate submissions cost one grade. Batch-only flags:
+// the concurrent scheduler: a worker pool with a content-addressed result
+// cache, so duplicate submissions cost one grade. Batch-only flags:
 //   --jobs <n>             worker threads (default 4)
-//   --queue <n>            bounded job-queue capacity (default 256)
 //   --no-cache             disable the content-addressed result cache
 //   --method-cache         enable method-level incremental grading: a
 //                          resubmission reuses the unedited methods'
@@ -47,6 +46,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/feedback.h"
@@ -57,7 +57,7 @@
 #include "obs/trace.h"
 #include "pdg/epdg.h"
 #include "sched/batch_io.h"
-#include "sched/scheduler.h"
+#include "sched/sharded_scheduler.h"
 #include "service/pipeline.h"
 
 namespace {
@@ -80,10 +80,9 @@ int ListAssignments() {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <assignment-id> [file.java] [--timeout-ms N] "
-               "[--max-heap-bytes N] [--json] "
-               "[--match-engine=indexed|legacy]\n"
+               "[--max-heap-bytes N] [--json]\n"
                "       %s <assignment-id> --batch [file.ndjson] [--jobs N] "
-               "[--queue N] [--no-cache] [--method-cache]\n"
+               "[--no-cache] [--method-cache]\n"
                "       %s <assignment-id> --reference\n"
                "       %s <assignment-id> --dot [file.java]\n"
                "       %s --list\n",
@@ -135,7 +134,7 @@ bool ParseInt64(const char* text, int64_t* out) {
 /// outcome per output line in input order. Returns the process exit code.
 int RunBatch(const jfeed::kb::Assignment& assignment, std::istream& in,
              const jfeed::service::PipelineOptions& pipeline_options,
-             const jfeed::sched::SchedulerOptions& scheduler_options) {
+             const jfeed::sched::ShardedSchedulerOptions& scheduler_options) {
   // Decode every line first; bad lines get an error outcome but do not
   // block the rest of the batch.
   std::vector<std::string> ids;
@@ -159,10 +158,10 @@ int RunBatch(const jfeed::kb::Assignment& assignment, std::istream& in,
     sources.push_back(std::move(decoded->source));
   }
 
-  jfeed::sched::BatchScheduler scheduler(assignment, pipeline_options,
-                                         scheduler_options);
   jfeed::sched::BatchStats stats;
-  auto outcomes = scheduler.GradeBatchWithStats(sources, ids, &stats);
+  auto outcomes = jfeed::service::GradeBatchParallel(
+      assignment, std::move(sources), pipeline_options, scheduler_options, ids,
+      &stats);
 
   bool all_clean = true;
   for (size_t i = 0; i < submission_index.size(); ++i) {
@@ -188,7 +187,8 @@ int RunBatch(const jfeed::kb::Assignment& assignment, std::istream& in,
                "graded %zu submissions (%zu pipeline runs, %zu cache hits, "
                "%zu dedup hits, %.1f%% served without grading) on %d workers\n",
                stats.submissions, stats.graded, stats.cache_hits,
-               stats.dedup_hits, 100.0 * stats.HitRate(), scheduler.jobs());
+               stats.dedup_hits, 100.0 * stats.HitRate(),
+               scheduler_options.jobs);
   return all_clean ? 0 : 1;
 }
 
@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
   const char* metrics_out = nullptr;
   const char* events_out = nullptr;
   jfeed::service::PipelineOptions options;
-  jfeed::sched::SchedulerOptions scheduler_options;
+  jfeed::sched::ShardedSchedulerOptions scheduler_options;
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--reference") == 0) {
@@ -243,20 +243,9 @@ int main(int argc, char** argv) {
       metrics_out = arg + 14;
     } else if (std::strncmp(arg, "--events-out=", 13) == 0) {
       events_out = arg + 13;
-    } else if (std::strncmp(arg, "--match-engine=", 15) == 0) {
-      const char* engine = arg + 15;
-      if (std::strcmp(engine, "legacy") == 0) {
-        options.match.match.engine = jfeed::core::MatchEngine::kLegacy;
-      } else if (std::strcmp(engine, "indexed") == 0) {
-        options.match.match.engine = jfeed::core::MatchEngine::kIndexed;
-      } else {
-        std::fprintf(stderr, "bad value for --match-engine: '%s'\n", engine);
-        return 2;
-      }
     } else if (std::strcmp(arg, "--timeout-ms") == 0 ||
                std::strcmp(arg, "--max-heap-bytes") == 0 ||
-               std::strcmp(arg, "--jobs") == 0 ||
-               std::strcmp(arg, "--queue") == 0) {
+               std::strcmp(arg, "--jobs") == 0) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s needs a value\n", arg);
         return 2;
@@ -270,10 +259,8 @@ int main(int argc, char** argv) {
         options.exec.deadline_ms = value;
       } else if (std::strcmp(arg, "--max-heap-bytes") == 0) {
         options.exec.max_heap_bytes = value;
-      } else if (std::strcmp(arg, "--jobs") == 0) {
-        scheduler_options.jobs = static_cast<int>(value);
       } else {
-        scheduler_options.queue_capacity = static_cast<size_t>(value);
+        scheduler_options.jobs = static_cast<int>(value);
       }
     } else if (arg[0] == '-' && arg[1] == '-') {
       std::fprintf(stderr, "unknown flag '%s'\n", arg);

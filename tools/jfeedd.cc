@@ -27,10 +27,9 @@
 //   --port <n>             listen port (default 0 = ephemeral, printed)
 //   --jobs <n>             grading worker threads, shared by all shards
 //                          (default 4)
-//   --queue <n>            single-tenant admission quota (default 256)
-//   --shard-queue <n>      per-assignment admission quota in multi-tenant
-//                          mode (default 64); beyond it that assignment's
-//                          submissions are shed with 429
+//   --shard-queue <n>      per-assignment admission quota (default 256
+//                          single-tenant, 64 multi-tenant); beyond it that
+//                          assignment's submissions are shed with 429
 //   --no-cache             disable the content-addressed result cache
 //   --method-cache         enable method-level incremental grading
 //                          (resubmissions reuse unedited methods)
@@ -56,8 +55,8 @@
 // introspection endpoints keep answering — then the daemon stops and exits
 // 0. A second signal is unnecessary; the first one always terminates.
 //
-// Exit codes: 0 clean shutdown, 2 usage/startup error (unknown assignment,
-// unbindable port, or an JFEED_OBS=OFF build, which refuses to serve blind).
+// Exit codes: 0 clean shutdown, 2 usage/startup error (unknown assignment
+// or unbindable port).
 
 #include <csignal>
 #include <cstdint>
@@ -88,7 +87,7 @@ int ListAssignments() {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <assignment-id>[,<id>...] [--port N] [--jobs N] "
-               "[--queue N] [--shard-queue N] [--no-cache] [--method-cache] "
+               "[--shard-queue N] [--no-cache] [--method-cache] "
                "[--events N] "
                "[--timeout-ms N] [--max-heap-bytes N] [--worker-id N] "
                "[--slo-latency-ms N] [--slo-target-ppm N] [--slo-window-s N] "
@@ -177,8 +176,6 @@ int main(int argc, char** argv) {
       options.port = static_cast<uint16_t>(value);
     } else if (std::strcmp(arg, "--jobs") == 0) {
       options.jobs = static_cast<int>(value);
-    } else if (std::strcmp(arg, "--queue") == 0) {
-      options.queue_capacity = static_cast<size_t>(value);
     } else if (std::strcmp(arg, "--shard-queue") == 0) {
       options.shard_queue_capacity = static_cast<size_t>(value);
     } else if (std::strcmp(arg, "--events") == 0) {
