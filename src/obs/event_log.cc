@@ -88,6 +88,8 @@ std::string ToJson(const WideEvent& e) {
   dbl("epdg_ms", e.epdg_ms);
   dbl("match_ms", e.match_ms);
   dbl("functional_ms", e.functional_ms);
+  num("functional_timeouts", e.functional_timeouts);
+  num("interp_steps_failed", e.interp_steps_failed);
   out += "}";
   return out;
 }
@@ -237,6 +239,10 @@ bool FromJson(const std::string& json, WideEvent* event) {
         event->match_ms = value;
       } else if (key == "functional_ms") {
         event->functional_ms = value;
+      } else if (key == "functional_timeouts") {
+        event->functional_timeouts = static_cast<int64_t>(value);
+      } else if (key == "interp_steps_failed") {
+        event->interp_steps_failed = static_cast<int64_t>(value);
       }
     }
     SkipSpace(json, &pos);

@@ -80,6 +80,11 @@ struct WideEvent {
   double epdg_ms = 0.0;
   double match_ms = 0.0;
   double functional_ms = 0.0;
+  /// Tests killed by a time budget (step budget or per-test deadline).
+  int64_t functional_timeouts = 0;
+  /// Steps spent by failed test executions; interp_steps counts only the
+  /// successful ones. A step-budget kill counts exactly max_steps.
+  int64_t interp_steps_failed = 0;
 };
 
 /// Renders one event as a single-line JSON object (no trailing newline) —

@@ -618,6 +618,8 @@ obs::WideEvent BuildWideEvent(const std::string& submission_id,
     event.interp_output_bytes = outcome.functional.interp_output_bytes;
     event.functional_tests_run = outcome.functional.tests_run;
     event.functional_tests_failed = outcome.functional.tests_failed;
+    event.functional_timeouts = outcome.functional.timeouts;
+    event.interp_steps_failed = outcome.functional.interp_steps_failed;
   }
   // Stage timings summed per stage, mirroring OutcomeToJson's
   // stage_timings object (the match stage can appear twice when the

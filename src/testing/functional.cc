@@ -68,6 +68,7 @@ FunctionalVerdict RunSuiteGuarded(const java::CompilationUnit& submission,
     if (!result.ok()) {
       failed = true;
       diagnostic = result.status().ToString();
+      verdict.interp_steps_failed += interp.last_call_steps();
       if (result.status().code() == StatusCode::kTimeout) {
         ++verdict.timeouts;
       } else if (result.status().code() == StatusCode::kResourceExhausted) {

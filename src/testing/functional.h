@@ -35,11 +35,15 @@ struct FunctionalVerdict {
   int resource_exhausted = 0;  ///< Tests killed by a space budget.
   bool suite_deadline_hit = false;  ///< Suite wall budget expired mid-run.
   // Interpreter resource spend summed over the suite's successful test
-  // executions (failed calls abort before reporting usage) — the numbers
-  // the per-submission flight recorder surfaces as interp_*.
+  // executions — the numbers the per-submission flight recorder surfaces
+  // as interp_*. A call that fails (runtime error, timeout, exhausted
+  // budget) reports no usage here...
   int64_t interp_steps = 0;
   int64_t interp_heap_bytes = 0;
   int64_t interp_output_bytes = 0;
+  /// ...but its steps are summed here, so killed tests (the largest cost)
+  /// stay visible. A step-budget kill counts exactly its max_steps.
+  int64_t interp_steps_failed = 0;
 };
 
 /// Runs the reference solution over the suite inputs and returns the

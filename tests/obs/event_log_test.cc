@@ -45,6 +45,8 @@ WideEvent FullEvent() {
   e.epdg_ms = 1.5;
   e.match_ms = 2.25;
   e.functional_ms = 10.75;
+  e.functional_timeouts = 2;
+  e.interp_steps_failed = 600000;
   return e;
 }
 
@@ -84,6 +86,23 @@ TEST(WideEventJsonTest, EveryFieldRoundTripsThroughNdjson) {
   EXPECT_DOUBLE_EQ(parsed.epdg_ms, original.epdg_ms);
   EXPECT_DOUBLE_EQ(parsed.match_ms, original.match_ms);
   EXPECT_DOUBLE_EQ(parsed.functional_ms, original.functional_ms);
+  EXPECT_EQ(parsed.functional_timeouts, original.functional_timeouts);
+  EXPECT_EQ(parsed.interp_steps_failed, original.interp_steps_failed);
+}
+
+TEST(WideEventJsonTest, FailedWorkFieldsAreAppendedAfterTheExistingOnes) {
+  // Append-only schema growth (DESIGN.md §6b): the new fields come last, so
+  // every earlier field keeps its position in the rendered line.
+  std::string line = ToJson(FullEvent());
+  size_t functional_ms = line.find("\"functional_ms\":");
+  size_t timeouts = line.find("\"functional_timeouts\":2");
+  size_t failed = line.find("\"interp_steps_failed\":600000");
+  ASSERT_NE(functional_ms, std::string::npos);
+  ASSERT_NE(timeouts, std::string::npos);
+  ASSERT_NE(failed, std::string::npos);
+  EXPECT_LT(functional_ms, timeouts);
+  EXPECT_LT(timeouts, failed);
+  EXPECT_EQ(line.substr(failed), "\"interp_steps_failed\":600000}");
 }
 
 TEST(WideEventJsonTest, ContractFieldNamesArePresent) {
@@ -100,7 +119,8 @@ TEST(WideEventJsonTest, ContractFieldNamesArePresent) {
         "\"functional_tests_run\":", "\"functional_tests_failed\":",
         "\"arena_bytes_peak\":", "\"methods_reused\":",
         "\"methods_regraded\":", "\"parse_ms\":", "\"epdg_ms\":",
-        "\"match_ms\":", "\"functional_ms\":"}) {
+        "\"match_ms\":", "\"functional_ms\":",
+        "\"functional_timeouts\":", "\"interp_steps_failed\":"}) {
     EXPECT_NE(line.find(field), std::string::npos) << field;
   }
 }

@@ -80,6 +80,34 @@ TEST(FunctionalTest, InfiniteLoopCountsAsFailure) {
   EXPECT_FALSE(verdict.passed);
 }
 
+TEST(FunctionalTest, FailedCallsStepsAreCountedSeparately) {
+  auto reference =
+      ParseOrDie("void f(int x) { System.out.println(x * x); }");
+  FunctionalSuite suite = SquareSuite();
+  suite.exec_options.max_steps = 20000;
+  auto expected = ComputeExpectedOutputs(reference, suite);
+  ASSERT_TRUE(expected.ok());
+  // x = 2 and x = 5 spin until the step budget kills them; x = -3 returns
+  // at once with wrong output, which is a successful call.
+  auto submission = ParseOrDie(
+      "void f(int x) { while (x > 0) { x = x; } System.out.println(x); }");
+  auto verdict = RunSuite(submission, suite, *expected);
+  EXPECT_EQ(verdict.tests_failed, 3);
+  EXPECT_EQ(verdict.timeouts, 2);
+  EXPECT_EQ(verdict.interp_steps_failed, 2 * 20000);
+  EXPECT_GT(verdict.interp_steps, 0);
+  EXPECT_LT(verdict.interp_steps, 100);
+
+  // A runtime error counts the steps run before it.
+  auto crashing = ParseOrDie(
+      "void f(int x) { int[] a = new int[1]; System.out.println(a[5]); }");
+  auto crashed = RunSuite(crashing, suite, *expected);
+  EXPECT_EQ(crashed.timeouts, 0);
+  EXPECT_EQ(crashed.interp_steps, 0);
+  EXPECT_GT(crashed.interp_steps_failed, 0);
+  EXPECT_EQ(crashed.interp_steps_failed % 3, 0);
+}
+
 TEST(FunctionalTest, TrailingWhitespaceIsNormalized) {
   // print vs println of the same value should not be a functional failure.
   auto reference = ParseOrDie("void f(int x) { System.out.println(x); }");

@@ -171,9 +171,12 @@ def compare_matching(baseline, current, args):
 
 
 # Per-assignment Table I counters that are deterministic for a fixed
-# --samples and must therefore match the baseline exactly.
+# --samples and must therefore match the baseline exactly. The step fields
+# are part of the grading contract: a step-budget kill fails a test, so an
+# interpreter change that moves a step can flip a verdict.
 TABLE1_EXACT_FIELDS = ("space", "patterns", "constraints", "sampled",
-                       "evaluated", "parse_failures", "discrepancies")
+                       "evaluated", "parse_failures", "discrepancies",
+                       "interp_steps", "step_budget_timeouts")
 
 
 def compare_table1(baseline, current, args):

@@ -30,12 +30,16 @@ def report(indexed_total=100, ablation=50, assignments=None,
     }
 
 
-def table1_assignment(aid="assignment1", discrepancies=3, evaluated=198):
+def table1_assignment(aid="assignment1", discrepancies=3, evaluated=198,
+                      interp_steps=51234, step_budget_timeouts=7):
     return {"id": aid, "space": 1000, "patterns": 4, "constraints": 2,
             "sampled": 200, "evaluated": evaluated, "parse_failures": 2,
             "discrepancies": discrepancies, "paper_discrepancies": 4,
+            "interp_steps": interp_steps,
+            "step_budget_timeouts": step_budget_timeouts,
             "avg_loc": 11.5, "avg_functional_us": 120.0,
-            "avg_match_us": 40.0, "wall_ms": 55.3}
+            "avg_match_us": 40.0, "interp_steps_per_s": 4.5e7,
+            "wall_ms": 55.3}
 
 
 def table1_report(samples=200, assignments=None):
@@ -275,6 +279,27 @@ class CompareBenchTest(unittest.TestCase):
         self.assertEqual(result.returncode, 1)
         self.assertIn("DRIFT", result.stdout)
         self.assertIn("discrepancies 3 -> 9", result.stdout)
+
+    def test_table1_step_accounting_drift_fails(self):
+        base = self.write("base.json", table1_report())
+        for drift, message in (
+                (dict(interp_steps=51235), "interp_steps 51234 -> 51235"),
+                (dict(step_budget_timeouts=6),
+                 "step_budget_timeouts 7 -> 6")):
+            cur = self.write("cur.json", table1_report(
+                assignments=[table1_assignment(**drift)]))
+            result = self.run_compare(base, cur)
+            self.assertEqual(result.returncode, 1, drift)
+            self.assertIn("DRIFT", result.stdout)
+            self.assertIn(message, result.stdout)
+
+    def test_table1_steps_per_second_is_trend_only(self):
+        base = self.write("base.json", table1_report())
+        drifted = table1_report()
+        drifted["assignments"][0]["interp_steps_per_s"] = 1.0
+        cur = self.write("cur.json", drifted)
+        result = self.run_compare(base, cur)
+        self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
 
     def test_table1_sample_count_mismatch_fails_readably(self):
         base = self.write("base.json", table1_report(samples=200))
