@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
 
   const auto& assignment = jfeed::kb::KnowledgeBase::Get().assignment(id);
   std::printf("Class report — %s (%s)\n", assignment.id.c_str(),
-              assignment.title.c_str());
+              assignment.spec.title.c_str());
   std::printf("Cohort: %llu synthetic submissions\n\n",
               static_cast<unsigned long long>(cohort));
 

@@ -72,7 +72,7 @@ void Grade(const jfeed::kb::Assignment& assignment, const char* label,
 int main() {
   const auto& assignment =
       jfeed::kb::KnowledgeBase::Get().assignment("assignment1");
-  std::printf("%s\n%s\n\n", assignment.title.c_str(),
+  std::printf("%s\n%s\n\n", assignment.spec.title.c_str(),
               assignment.description.c_str());
   Grade(assignment, "Fig. 2a (incorrect: bad init, bound, conditions)",
         kFigure2a);

@@ -53,7 +53,7 @@ int main() {
   const auto& assignment =
       jfeed::kb::KnowledgeBase::Get().assignment("rit-all-g-medals");
   std::printf("%s\n\nSubmission (Fig. 7, adapted):\n%s\n\n",
-              assignment.title.c_str(), kFigure7);
+              assignment.spec.title.c_str(), kFigure7);
 
   auto submission = java::Parse(kFigure7);
   if (!submission.ok()) {

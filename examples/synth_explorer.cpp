@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const auto& assignment = kb.assignment(id);
 
   std::printf("%s — %s\n\n", assignment.id.c_str(),
-              assignment.title.c_str());
+              assignment.spec.title.c_str());
   std::printf("Error model (%zu sites, search space %llu):\n",
               assignment.generator.sites().size(),
               static_cast<unsigned long long>(

@@ -1,561 +1,24 @@
 #include "kb/patterns.h"
 
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
+#include "kb/embedded.h"
+#include "kb/serialization.h"
+
 namespace jfeed::kb {
 
-using core::Pattern;
-using core::PatternBuilder;
-using core::PatternNodeType;
-
-namespace {
-
-Pattern Must(Result<Pattern> result) {
-  if (!result.ok()) {
-    std::fprintf(stderr, "knowledge-base pattern failed to build: %s\n",
-                 result.status().ToString().c_str());
-    std::abort();
-  }
-  return std::move(*result);
-}
-
-// Shared increment alternation (x++, ++x, x += 1, x = x + 1).
-constexpr const char* kIncExact =
-    "x\\+\\+|\\+\\+x|x \\+= 1|x = x \\+ 1";
-constexpr const char* kIncApprox = "x \\+= \\d+|x = x \\+ \\d+|x\\+\\+";
-
-std::string WithVar(std::string tmpl, const std::string& var) {
-  // Replaces the placeholder variable name `x` (whole word, never inside a
-  // regex escape) with `var`. Templates above only use `x` as the variable.
-  std::string out;
-  for (size_t i = 0; i < tmpl.size(); ++i) {
-    if (tmpl[i] == 'x' &&
-        (i == 0 || (!isalnum(static_cast<unsigned char>(tmpl[i - 1])) &&
-                    tmpl[i - 1] != '\\')) &&
-        (i + 1 == tmpl.size() ||
-         !isalnum(static_cast<unsigned char>(tmpl[i + 1])))) {
-      out += var;
-    } else {
-      out.push_back(tmpl[i]);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-PatternLibrary::PatternLibrary() {
-  // P01 — Fig. 4: accessing odd positions sequentially in an array.
-  Add(Must(
-      PatternBuilder("odd-positions", "Accessing odd positions sequentially")
-          .Var("x")
-          .Var("s")
-          .Node(PatternNodeType::kUntyped, "s")
-          .Node(PatternNodeType::kAssign, "x = 0", "x = -?\\d+",
-                "{x} is initialized to 0", "{x} should be initialized to 0")
-          .Node(PatternNodeType::kAssign, kIncExact, kIncApprox,
-                "{x} is incremented by 1", "{x} should be incremented by 1")
-          .Node(PatternNodeType::kCond, "x < s\\.length", "x <= s\\.length",
-                "{x} does not go beyond {s}.length - 1",
-                "{x} is out of bounds going beyond {s}.length - 1")
-          .Node(PatternNodeType::kCond, "x % 2 == 1", "",
-                "You are using {x} % 2 == 1 to control that {x} is odd", "")
-          .Node(PatternNodeType::kUntyped, "s\\[x\\]", "",
-                "{x} is used exactly to access {s}",
-                "You should access {s} by using {x} exactly")
-          .DataEdge(0, 3)
-          .DataEdge(0, 5)
-          .DataEdge(1, 2)
-          .DataEdge(1, 3)
-          .DataEdge(1, 4)
-          .DataEdge(1, 5)
-          .CtrlEdge(3, 2)
-          .CtrlEdge(3, 4)
-          .CtrlEdge(4, 5)
-          .Present("You are correctly accessing odd positions sequentially "
-                   "in an array")
-          .Missing("You are not accessing odd positions sequentially in an "
-                   "array, please, consider using a loop and a condition; "
-                   "recall that odd is computed by i % 2 == 1, where i is "
-                   "an index variable")
-          .Build()));
-
-  // P02 — the even-position twin of P01.
-  Add(Must(
-      PatternBuilder("even-positions",
-                     "Accessing even positions sequentially")
-          .Var("ex")
-          .Var("es")
-          .Node(PatternNodeType::kUntyped, "es")
-          .Node(PatternNodeType::kAssign, "ex = 0", "ex = -?\\d+",
-                "{ex} is initialized to 0",
-                "{ex} should be initialized to 0")
-          .Node(PatternNodeType::kAssign, WithVar(kIncExact, "ex"),
-                WithVar(kIncApprox, "ex"), "{ex} is incremented by 1",
-                "{ex} should be incremented by 1")
-          .Node(PatternNodeType::kCond, "ex < es\\.length",
-                "ex <= es\\.length",
-                "{ex} does not go beyond {es}.length - 1",
-                "{ex} is out of bounds going beyond {es}.length - 1")
-          .Node(PatternNodeType::kCond, "ex % 2 == 0", "",
-                "You are using {ex} % 2 == 0 to control that {ex} is even",
-                "")
-          .Node(PatternNodeType::kUntyped, "es\\[ex\\]", "",
-                "{ex} is used exactly to access {es}",
-                "You should access {es} by using {ex} exactly")
-          .DataEdge(0, 3)
-          .DataEdge(0, 5)
-          .DataEdge(1, 2)
-          .DataEdge(1, 3)
-          .DataEdge(1, 4)
-          .DataEdge(1, 5)
-          .CtrlEdge(3, 2)
-          .CtrlEdge(3, 4)
-          .CtrlEdge(4, 5)
-          .Present("You are correctly accessing even positions sequentially "
-                   "in an array")
-          .Missing("You are not accessing even positions sequentially in an "
-                   "array; recall that even is computed by i % 2 == 0, "
-                   "where i is an index variable")
-          .Build()));
-
-  // P03 — Fig. 5: conditional cumulatively adding.
-  Add(Must(
-      PatternBuilder("cond-accum-add", "Conditional cumulatively adding")
-          .Var("c")
-          .Node(PatternNodeType::kAssign, "c = 0", "c = -?\\d+",
-                "{c} is initialized to 0", "{c} should be initialized to 0")
-          .Node(PatternNodeType::kCond, "")
-          .Node(PatternNodeType::kCond, "")
-          .Node(PatternNodeType::kAssign, "c \\+=|c = c \\+", "",
-                "{c} is cumulatively added", "")
-          .CtrlEdge(1, 2)
-          .CtrlEdge(2, 3)
-          .DataEdge(0, 3)
-          .Present("You are cumulatively adding {c} under a condition")
-          .Missing("You are not cumulatively adding a variable under a "
-                   "condition inside a loop")
-          .Build()));
-
-  // P04 — the multiplicative twin of P03 (product accumulator starts at 1).
-  Add(Must(
-      PatternBuilder("cond-accum-mul",
-                     "Conditional cumulatively multiplying")
-          .Var("d")
-          .Node(PatternNodeType::kAssign, "d = 1", "d = -?\\d+",
-                "{d} is initialized to 1 (the multiplicative identity)",
-                "{d} should be initialized to 1, not 0, or the product "
-                "will always be 0")
-          .Node(PatternNodeType::kCond, "")
-          .Node(PatternNodeType::kCond, "")
-          .Node(PatternNodeType::kAssign, "d \\*=|d = d \\*", "",
-                "{d} is cumulatively multiplied", "")
-          .CtrlEdge(1, 2)
-          .CtrlEdge(2, 3)
-          .DataEdge(0, 3)
-          .Present("You are cumulatively multiplying {d} under a condition")
-          .Missing("You are not cumulatively multiplying a variable under "
-                   "a condition inside a loop")
-          .Build()));
-
-  // P05 — Fig. 6: assign and print to console.
-  Add(Must(PatternBuilder("assign-print", "Assign and print to console")
-               .Var("y")
-               .Node(PatternNodeType::kAssign, "y", "",
-                     "{y} is assigned a value", "")
-               .Node(PatternNodeType::kCall,
-                     "System\\.out\\.print(ln)?\\(.*y", "",
-                     "{y} is printed to console",
-                     "{y} should be printed to console")
-               .DataEdge(0, 1)
-               .Present("You are printing {y} to console")
-               .Missing("You should print your result to console")
-               .Build()));
-
-  // P06 — accumulator initialized to 0. Single node: its occurrence count
-  // is the number of zero-initialized variables, which t̄ pins per
-  // assignment.
-  Add(Must(PatternBuilder("init-zero", "Accumulator initialized to 0")
-               .Var("z")
-               .Node(PatternNodeType::kAssign, "z = 0", "",
-                     "{z} is initialized to 0", "")
-               .Present("{z} starts at 0, the additive identity")
-               .Missing("An accumulator initialized to 0 is missing")
-               .Build()));
-
-  // P07 — accumulator initialized to 1.
-  Add(Must(PatternBuilder("init-one", "Accumulator initialized to 1")
-               .Var("w")
-               .Node(PatternNodeType::kAssign, "w = 1", "",
-                     "{w} is initialized to 1", "")
-               .Present("{w} starts at 1, the multiplicative identity")
-               .Missing("An accumulator initialized to 1 is missing")
-               .Build()));
-
-  // P08 — canonical counting loop: init, guarded unit increment.
-  Add(Must(PatternBuilder("counter-loop", "Sequential counting loop")
-               .Var("ctr")
-               .Node(PatternNodeType::kAssign, "ctr = 0|ctr = 1",
-                     "ctr = -?\\d+", "{ctr} starts at the right position",
-                     "{ctr} starts at an unexpected position")
-               .Node(PatternNodeType::kCond, "")
-               .Node(PatternNodeType::kAssign, WithVar(kIncExact, "ctr"),
-                     WithVar(kIncApprox, "ctr"),
-                     "{ctr} advances one step per iteration",
-                     "{ctr} should advance exactly one step per iteration")
-               .DataEdge(0, 2)
-               .CtrlEdge(1, 2)
-               .Present("You drive the loop with counter {ctr}")
-               .Missing("A sequential counting loop is missing")
-               .Build()));
-
-  // P09 — running factorial: increment then multiply inside one loop.
-  Add(Must(PatternBuilder("factorial-step", "Iterative factorial update")
-               .Var("f")
-               .Var("fx")
-               .Node(PatternNodeType::kCond, "")
-               .Node(PatternNodeType::kAssign, WithVar(kIncExact, "fx"),
-                     WithVar(kIncApprox, "fx"),
-                     "{fx} is incremented before the product update",
-                     "{fx} should be incremented by 1")
-               .Node(PatternNodeType::kAssign, "f \\*= fx$|f = f \\* fx$",
-                     "f \\*=|f = f \\*",
-                     "{f} accumulates the factorial as {f} *= {fx}",
-                     "{f} should be multiplied exactly by {fx}")
-               .CtrlEdge(0, 1)
-               .CtrlEdge(0, 2)
-               .DataEdge(1, 2)
-               .Present("You maintain the running factorial {f}")
-               .Missing("An iterative factorial update ({f} *= {fx} after "
-                        "incrementing {fx}) is missing")
-               .Build()));
-
-  // P10 — Fibonacci rotation: t = a + b; a = b; b = t.
-  Add(Must(PatternBuilder("fib-step", "Iterative Fibonacci update")
-               .Var("fa")
-               .Var("fb")
-               .Var("ft")
-               .Node(PatternNodeType::kCond, "")
-               .Node(PatternNodeType::kAssign,
-                     "ft = fa \\+ fb$|ft = fb \\+ fa$", "ft = .* \\+",
-                     "{ft} holds the next Fibonacci number {fa} + {fb}",
-                     "{ft} should be the sum of {fa} and {fb}")
-               .Node(PatternNodeType::kAssign, "fa = fb", "",
-                     "{fa} rotates to {fb}", "{fa} should rotate to {fb}")
-               .Node(PatternNodeType::kAssign, "fb = ft", "",
-                     "{fb} rotates to {ft}", "{fb} should rotate to {ft}")
-               .CtrlEdge(0, 1)
-               .CtrlEdge(0, 2)
-               .CtrlEdge(0, 3)
-               .DataEdge(1, 3)
-               .Present("You advance the Fibonacci pair ({fa}, {fb}) "
-                        "correctly")
-               .Missing("The Fibonacci rotation (t = a + b; a = b; b = t) "
-                        "is missing")
-               .Build()));
-
-  // P11 — search for the index where a growing sequence passes bound k.
-  Add(Must(PatternBuilder("bound-search", "Growing until the input bound")
-               .Var("k")
-               .Var("bx")
-               .Node(PatternNodeType::kDecl, "k", "",
-                     "the input bound {k} is taken as a parameter", "")
-               .Node(PatternNodeType::kCond, "<= k",
-                     "< k|<= k - 1|- 1 < k|< k \\+ 1",
-                     "the loop stops exactly when the sequence exceeds {k}",
-                     "your loop bound is off by one with respect to {k}")
-               .Node(PatternNodeType::kAssign, WithVar(kIncExact, "bx"),
-                     WithVar(kIncApprox, "bx"),
-                     "{bx} tracks the index of the sequence",
-                     "{bx} should advance by exactly 1")
-               .DataEdge(0, 1)
-               .CtrlEdge(1, 2)
-               .Present("You grow the sequence until it passes {k}")
-               .Missing("A loop growing the sequence while it is <= {k} is "
-                        "missing")
-               .Build()));
-
-  // P12 — digit extraction loop: n % 10 inside, n = n / 10 step.
-  Add(Must(PatternBuilder("digit-extract", "Digit extraction loop")
-               .Var("dn")
-               .Node(PatternNodeType::kCond, "dn > 0|dn != 0|dn >= 1", "dn",
-                     "you loop while {dn} still has digits",
-                     "the digit loop should run while {dn} > 0")
-               .Node(PatternNodeType::kAssign, "% 10", "",
-                     "the last digit is taken with % 10",
-                     "use % 10 to take the last digit")
-               .Node(PatternNodeType::kAssign, "dn = dn / 10$|dn /= 10$",
-                     "dn = |dn /=",
-                     "{dn} drops its last digit with / 10",
-                     "{dn} should drop its last digit with / 10")
-               .CtrlEdge(0, 1)
-               .CtrlEdge(0, 2)
-               .Present("You decompose {dn} digit by digit")
-               .Missing("A digit-extraction loop (% 10 and / 10 on the "
-                        "number) is missing")
-               .Build()));
-
-  // P13 — sum of cubes of digits (the "special number" check).
-  Add(Must(PatternBuilder("cube-accum", "Summing cubes of digits")
-               .Var("cs")
-               .Var("cd")
-               .Node(PatternNodeType::kAssign, "cd = .* % 10$", "cd =",
-                     "{cd} holds the current digit",
-                     "{cd} should hold the current digit ( % 10 )")
-               .Node(PatternNodeType::kAssign,
-                     "cs \\+= cd \\* cd \\* cd$|"
-                     "cs = cs \\+ cd \\* cd \\* cd$|"
-                     "cs \\+= Math\\.pow\\(cd, ?3\\)$",
-                     "cs \\+=|cs = cs \\+",
-                     "{cs} accumulates the cube of {cd}",
-                     "{cs} should add the cube of {cd} "
-                     "({cd} * {cd} * {cd})")
-               .DataEdge(0, 1)
-               .Present("You sum the cubes of the digits into {cs}")
-               .Missing("Summing the cubes of the digits is missing")
-               .Build()));
-
-  // P14 — building the reversed number.
-  Add(Must(PatternBuilder("reverse-build", "Building the reversed number")
-               .Var("rv")
-               .Node(PatternNodeType::kCond, "")
-               .Node(PatternNodeType::kAssign,
-                     "rv = rv \\* 10 \\+ .* % 10",
-                     "rv = rv \\* \\d+|rv \\*= \\d+|rv = .* % 10",
-                     "{rv} is rebuilt as {rv} * 10 + digit",
-                     "{rv} should be rebuilt as {rv} * 10 + digit")
-               .CtrlEdge(0, 1)
-               .Present("You build the reversed number in {rv}")
-               .Missing("Building the reversed number (rev = rev * 10 + "
-                        "digit) is missing")
-               .Build()));
-
-  // P15 — comparing a computed value against the input.
-  Add(Must(PatternBuilder("equality-check", "Comparing against the input")
-               .Var("eqr")
-               .Var("eqk")
-               .Node(PatternNodeType::kDecl, "eqk", "",
-                     "the input {eqk} is available for the comparison", "")
-               .Node(PatternNodeType::kUntyped, "eqr == eqk|eqk == eqr", "",
-                     "you compare {eqr} with the input {eqk}",
-                     "you should compare {eqr} with the input {eqk}")
-               .DataEdge(0, 1)
-               .Present("You compare the computed value {eqr} with the "
-                        "input {eqk}")
-               .Missing("The comparison of your computed value against the "
-                        "input is missing")
-               .Build()));
-
-  // P16 — loop bounded by the range limit m.
-  Add(Must(PatternBuilder("range-loop", "Loop bounded by the range limit")
-               .Var("rm")
-               .Node(PatternNodeType::kDecl, "rm", "",
-                     "the range limit {rm} is taken as a parameter", "")
-               .Node(PatternNodeType::kCond, "<= rm$",
-                     "< rm|<= rm - 1|< rm \\+ 1|- 1 < rm",
-                     "the loop is bounded by {rm}",
-                     "the loop should be bounded by {rm}")
-               .DataEdge(0, 1)
-               .Present("You iterate up to the range limit {rm}")
-               .Missing("A loop bounded by the range limit is missing")
-               .Build()));
-
-  // P17 — counting sequence members that reach the lower range bound.
-  Add(Must(PatternBuilder("membership-count", "Counting range members")
-               .Var("mn")
-               .Var("mc")
-               .Node(PatternNodeType::kDecl, "mn", "",
-                     "the lower bound {mn} is taken as a parameter", "")
-               .Node(PatternNodeType::kCond, ">= mn$",
-                     "> mn$|> mn - 1$|>= mn \\+ 1$|mn <=|mn <",
-                     "you only count values >= {mn}",
-                     "the membership check against {mn} is off by one")
-               .Node(PatternNodeType::kAssign,
-                     "mc \\+= 1|mc\\+\\+|mc = mc \\+ 1",
-                     "mc \\+=|mc = mc \\+",
-                     "{mc} counts one per member",
-                     "{mc} should count exactly one per member")
-               .DataEdge(0, 1)
-               .CtrlEdge(1, 2)
-               .Present("You count members inside the range with {mc}")
-               .Missing("Counting the sequence members inside the range is "
-                        "missing")
-               .Build()));
-
-  // P18 — the Scanner-over-file loop skeleton.
-  Add(Must(PatternBuilder("scanner-loop", "Scanner file-reading loop")
-               .Var("sc")
-               .Node(PatternNodeType::kAssign, "sc = new Scanner", "",
-                     "{sc} opens the data file", "")
-               .Node(PatternNodeType::kCond, "sc\\.hasNext\\(\\)",
-                     "sc\\.hasNext",
-                     "you loop while {sc} has tokens",
-                     "loop on {sc}.hasNext()")
-               .Node(PatternNodeType::kCall, "sc\\.close\\(\\)",
-                     "sc\\.close",
-                     "{sc} is closed after reading", "{sc} must be closed")
-               .DataEdge(0, 1)
-               .DataEdge(0, 2)
-               .Present("You read the file with a Scanner loop")
-               .Missing("The Scanner loop over the data file is missing")
-               .Build()));
-
-  // P19 — positional field extraction inside a record.
-  Add(Must(PatternBuilder("field-extract", "Positional field extraction")
-               .Var("fex")
-               .Var("fes")
-               .Var("fef")
-               .Node(PatternNodeType::kCond, "fex % 5 == \\d",
-                     "fex % \\d+ == \\d+",
-                     "you select the field by its position "
-                     "({fex} % 5)",
-                     "the field position check on {fex} looks wrong — "
-                     "records have 5 fields")
-               .Node(PatternNodeType::kAssign,
-                     "fef = fes\\.next(Int)?\\(\\)", "fef = fes\\.",
-                     "{fef} reads its field from {fes}",
-                     "{fef} should read its field with {fes}.next()")
-               .CtrlEdge(0, 1)
-               .Present("You extract a record field into {fef}")
-               .Missing("Reading the record fields by position is missing")
-               .Build()));
-
-  // P20 — the gold-medal filter of rit-all-g-medals.
-  Add(Must(PatternBuilder("gold-filter", "Gold medal filter")
-               .Var("gy")
-               .Var("gp")
-               .Var("gyear")
-               .Var("gm")
-               .Node(PatternNodeType::kCond,
-                     "% 5 == \\d+ && gy == gyear && gp == 1|"
-                     "% 5 == \\d+ && gp == 1 && gy == gyear",
-                     "gy == gyear|gp == 1",
-                     "you count only gold medals ({gp} == 1) of year "
-                     "{gyear}",
-                     "the filter must require both the year ({gy} == "
-                     "{gyear}) and a gold medal ({gp} == 1)")
-               .Node(PatternNodeType::kAssign,
-                     "gm \\+= 1|gm\\+\\+|gm = gm \\+ 1", "gm \\+=",
-                     "{gm} counts one per matching record",
-                     "{gm} should count exactly one per matching record")
-               .CtrlEdge(0, 1)
-               .Present("You count gold medals of the requested year "
-                        "into {gm}")
-               .Missing("The gold-medal filter (medal type 1 and matching "
-                        "year) is missing")
-               .Build()));
-
-  // P21 — the athlete-name filter of rit-medals-by-ath.
-  Add(Must(PatternBuilder("athlete-filter", "Athlete name filter")
-               .Var("afn")
-               .Var("aln")
-               .Var("afirst")
-               .Var("alast")
-               .Var("am")
-               .Node(PatternNodeType::kCond,
-                     "% 5 == \\d+ && afn\\.equals\\(afirst\\) && "
-                     "aln\\.equals\\(alast\\)|"
-                     "% 5 == \\d+ && aln\\.equals\\(alast\\) && "
-                     "afn\\.equals\\(afirst\\)",
-                     "equals\\(afirst\\)|equals\\(alast\\)",
-                     "you match the athlete by first and last name",
-                     "the filter must match both the first name "
-                     "({afn}.equals({afirst})) and the last name "
-                     "({aln}.equals({alast}))")
-               .Node(PatternNodeType::kAssign,
-                     "am \\+= 1|am\\+\\+|am = am \\+ 1", "am \\+=",
-                     "{am} counts one medal per matching record",
-                     "{am} should count exactly one per matching record")
-               .CtrlEdge(0, 1)
-               .Present("You count the medals of the requested athlete "
-                        "into {am}")
-               .Missing("The athlete-name filter (first and last name "
-                        "with equals) is missing")
-               .Build()));
-
-  // P22 — polynomial evaluation with Math.pow.
-  Add(Must(PatternBuilder("poly-eval", "Polynomial evaluation")
-               .Var("pr")
-               .Var("ps")
-               .Var("px")
-               .Var("pv")
-               .Node(PatternNodeType::kCond, "px < ps\\.length$",
-                     "px <= ps\\.length",
-                     "you visit every coefficient of {ps}",
-                     "{px} walks past the end of {ps}")
-               .Node(PatternNodeType::kAssign,
-                     "pr \\+= ps\\[px\\] \\* Math\\.pow\\(pv, px\\)$|"
-                     "pr = pr \\+ ps\\[px\\] \\* Math\\.pow\\(pv, px\\)$",
-                     "pr \\+=|pr = pr \\+",
-                     "{pr} accumulates {ps}[{px}] * {pv}^{px}",
-                     "{pr} should accumulate coefficient times "
-                     "{pv}^{px}")
-               .CtrlEdge(0, 1)
-               .Present("You evaluate the polynomial term by term into "
-                        "{pr}")
-               .Missing("The polynomial evaluation loop (coefficient * "
-                        "x^i) is missing")
-               .Build()));
-
-  // P23 — the derivative shift b[i-1] = a[i] * i.
-  Add(Must(PatternBuilder("derivative-shift", "Derivative coefficient shift")
-               .Var("db")
-               .Var("ds")
-               .Var("dx")
-               .Node(PatternNodeType::kAssign,
-                     "db = new \\w+\\[ds\\.length - 1\\]",
-                     "db = new \\w+\\[",
-                     "{db} has room for one fewer coefficient",
-                     "{db} must be allocated with {ds}.length - 1 slots")
-               .Node(PatternNodeType::kCond, "dx < ds\\.length$",
-                     "dx <= ds\\.length|dx < ds\\.length - 1",
-                     "you visit the coefficients 1 .. {ds}.length - 1",
-                     "the loop over {ds} is off by one")
-               .Node(PatternNodeType::kAssign,
-                     "db\\[dx - 1\\] = ds\\[dx\\] \\* dx", "db\\[",
-                     "{db}[{dx} - 1] receives {ds}[{dx}] * {dx}",
-                     "the derivative of term {dx} is {ds}[{dx}] * {dx}, "
-                     "stored at {dx} - 1")
-               .Node(PatternNodeType::kAssign, "dx = 1", "dx = -?\\d+",
-                     "the power-rule loop starts at term 1",
-                     "the power-rule loop must start at term 1 — the "
-                     "constant term has no derivative")
-               .DataEdge(0, 2)
-               .DataEdge(3, 2)
-               .CtrlEdge(1, 2)
-               .Present("You compute the derivative coefficients with the "
-                        "power rule")
-               .Missing("The power-rule shift (b[i - 1] = a[i] * i) is "
-                        "missing")
-               .Build()));
-
-  // P24 — bad pattern (expected count 0): the same index incremented twice
-  // under one condition, the paper's sentinel-loop example.
-  Add(Must(PatternBuilder("double-increment", "Index updated twice")
-               .Var("dix")
-               .Node(PatternNodeType::kCond, "")
-               .Node(PatternNodeType::kAssign, WithVar(kIncExact, "dix"), "",
-                     "", "")
-               .Node(PatternNodeType::kAssign, WithVar(kIncExact, "dix"), "",
-                     "", "")
-               .CtrlEdge(0, 1)
-               .CtrlEdge(0, 2)
-               .Present("Good: the loop index is updated exactly once per "
-                        "iteration")
-               .Missing("You are updating the value of the index more than "
-                        "once in a sentinel-controlled loop")
-               .Build()));
-}
-
-void PatternLibrary::Add(core::Pattern pattern) {
-  ids_.push_back(pattern.id);
-  patterns_[pattern.id] = std::move(pattern);
-}
-
 const PatternLibrary& PatternLibrary::Get() {
-  static const PatternLibrary* kLibrary = new PatternLibrary();
+  static const PatternLibrary* kLibrary = [] {
+    auto patterns = ParsePatterns(EmbeddedPatternsText(), "data/patterns.kb");
+    if (!patterns.ok()) AbortOnMalformedKnowledgeBase(patterns.status());
+    auto* library = new PatternLibrary();
+    for (core::Pattern& pattern : *patterns) {
+      library->ids_.push_back(pattern.id);
+      library->patterns_.emplace(pattern.id, std::move(pattern));
+    }
+    return library;
+  }();
   return *kLibrary;
 }
 

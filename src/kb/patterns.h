@@ -15,7 +15,9 @@ namespace jfeed::kb {
 /// require disjoint variable sets (Definition 10) — can combine any of them.
 class PatternLibrary {
  public:
-  /// The process-wide library (built once, immutable afterwards).
+  /// The process-wide library: data/patterns.kb, embedded at build time and
+  /// parsed on first use. A malformed file aborts the process with a
+  /// one-line message naming the file, the line and the rule broken.
   static const PatternLibrary& Get();
 
   /// Looks up a pattern; aborts on an unknown id (programming error).
@@ -25,14 +27,13 @@ class PatternLibrary {
     return patterns_.count(id) > 0;
   }
 
-  /// Ids in deterministic (insertion) order.
+  /// Ids in deterministic (document) order.
   const std::vector<std::string>& ids() const { return ids_; }
 
   size_t size() const { return patterns_.size(); }
 
  private:
-  PatternLibrary();
-  void Add(core::Pattern pattern);
+  PatternLibrary() = default;
 
   std::map<std::string, core::Pattern> patterns_;
   std::vector<std::string> ids_;

@@ -25,8 +25,8 @@ TEST(SpecSerializationTest, RoundTripIsAFixedPointForAllAssignments) {
 }
 
 TEST(SpecSerializationTest, ParsedSpecGradesIdentically) {
-  // The parsed specification must reproduce the exact feedback of the
-  // compiled one — both on the reference and on an erroneous variant.
+  // A spec serialized and parsed again must reproduce the exact feedback of
+  // the loaded one — both on the reference and on an erroneous variant.
   const auto& assignment = KnowledgeBase::Get().assignment("assignment1");
   auto parsed = ParseSpec(SerializeSpec(assignment.spec),
                           PatternLibrary::Get());

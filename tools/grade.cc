@@ -72,7 +72,7 @@ int ListAssignments() {
   const auto& kb = jfeed::kb::KnowledgeBase::Get();
   for (const auto& id : kb.assignment_ids()) {
     const auto& a = kb.assignment(id);
-    std::printf("%-20s %s\n", id.c_str(), a.title.c_str());
+    std::printf("%-20s %s\n", id.c_str(), a.spec.title.c_str());
   }
   return 0;
 }

@@ -79,7 +79,8 @@ namespace {
 int ListAssignments() {
   const auto& kb = jfeed::kb::KnowledgeBase::Get();
   for (const auto& id : kb.assignment_ids()) {
-    std::printf("%-20s %s\n", id.c_str(), kb.assignment(id).title.c_str());
+    std::printf("%-20s %s\n", id.c_str(),
+                kb.assignment(id).spec.title.c_str());
   }
   return 0;
 }
