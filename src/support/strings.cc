@@ -25,12 +25,14 @@ std::vector<std::string> Split(std::string_view text, char sep) {
   return out;
 }
 
-std::string Trim(std::string_view text) {
+std::string Trim(std::string_view text) { return std::string(TrimView(text)); }
+
+std::string_view TrimView(std::string_view text) {
   size_t b = 0;
   size_t e = text.size();
   while (b < e && std::isspace(static_cast<unsigned char>(text[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(text[e - 1]))) --e;
-  return std::string(text.substr(b, e - b));
+  return text.substr(b, e - b);
 }
 
 bool StartsWith(std::string_view text, std::string_view prefix) {

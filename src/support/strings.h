@@ -16,6 +16,8 @@ std::vector<std::string> Split(std::string_view text, char sep);
 
 /// Removes leading and trailing ASCII whitespace.
 std::string Trim(std::string_view text);
+/// Trim without the copy: a view into `text`.
+std::string_view TrimView(std::string_view text);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
