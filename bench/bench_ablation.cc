@@ -167,42 +167,6 @@ void VariationAblation() {
       extended_us);
 }
 
-void BackendAblation() {
-  std::printf("\n(e) regex vs. AST expression-matching backends\n");
-  // The same semantic template, two backends, over contents with a textual
-  // prefix trap and a swapped-operand spelling.
-  auto regex_pattern = core::PatternBuilder("regex-digit", "digit drop")
-                           .Var("n")
-                           .Node(core::PatternNodeType::kAssign,
-                                 "n = n / 10")
-                           .Build();
-  auto ast_pattern = core::PatternBuilder("ast-digit", "digit drop")
-                         .Var("m")
-                         .NodeAst(core::PatternNodeType::kAssign,
-                                  "m = m / 10")
-                         .Build();
-  struct Case {
-    const char* label;
-    const char* source;
-  };
-  const Case kCases[] = {
-      {"exact content      ", "void f(int v) { v = v / 10; }"},
-      {"prefix trap (/100) ", "void f(int v) { v = v / 100; }"},
-  };
-  for (const auto& c : kCases) {
-    auto unit = java::Parse(c.source);
-    auto graph = jfeed::pdg::BuildEpdg(unit->methods[0]);
-    size_t regex_hits = core::MatchPattern(**&regex_pattern, *graph).size();
-    size_t ast_hits = core::MatchPattern(**&ast_pattern, *graph).size();
-    std::printf("    %s regex: %zu match(es), AST: %zu match(es)%s\n",
-                c.label, regex_hits, ast_hits,
-                regex_hits != ast_hits ? "  <- backend disagreement" : "");
-  }
-  std::printf("    (the AST backend needs no $-anchoring to reject the "
-              "trap;\n     it also accepts swapped operands of commutative "
-              "operators)\n");
-}
-
 }  // namespace
 
 int main() {
@@ -211,6 +175,5 @@ int main() {
   ApproximateAblation();
   ConstraintAblation();
   VariationAblation();
-  BackendAblation();
   return 0;
 }

@@ -1,21 +1,26 @@
 // Sec. IV: the subgraph-matching core is worst-case O(n^m) but fast in
 // practice on intro-sized graphs. This binary has two halves:
 //
-//   1. The engine report (always runs): legacy vs. indexed match engine
-//      over every knowledge-base assignment (Algorithm 2 on the reference
-//      submission) plus the loops ablation workload, reporting
-//      backtracking steps, template checks, pruning/memo counters, wall
-//      time and index build time. `--json=PATH` additionally writes the
+//   1. The engine report (always runs): the production matcher ("indexed")
+//      against the pre-index reference backtracker under tests/testutil
+//      ("legacy") over every knowledge-base assignment plus the loops
+//      ablation workload, reporting backtracking steps, template checks,
+//      pruning/memo counters, wall time and index build time. An
+//      assignment's indexed column is Algorithm 2 on its reference
+//      submission; its legacy column sums the reference over every (spec
+//      pattern, method graph) pair of that submission, the cells
+//      Algorithm 2 evaluates. `--json=PATH` additionally writes the
 //      machine-readable BENCH_matching.json that CI diffs against the
 //      checked-in baseline (step counts are deterministic; wall times are
-//      informational only). The report fails (exit 1) when the engines
-//      disagree on any feedback, so perf numbers can never be quoted from
-//      a semantically wrong engine.
+//      informational only). The report fails (exit 1) when the two
+//      matchers return different embeddings for any pattern, so perf
+//      numbers can never be quoted from a semantically wrong matcher.
 //
 //   2. google-benchmark microbenches sweeping the EPDG size, the pattern
 //      portfolio and the injection enumeration (skipped with
 //      `--skip-microbench`; extra args go to the benchmark library).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -35,6 +40,7 @@
 #include "pdg/epdg.h"
 #include "pdg/match_index.h"
 #include "support/arena.h"
+#include "tests/testutil/legacy_matcher.h"
 
 namespace {
 
@@ -127,35 +133,59 @@ struct EngineReport {
   bool equivalent = true;
 };
 
-std::string FeedbackKey(const core::SubmissionFeedback& f) {
-  std::string out = std::to_string(f.score);
-  for (const auto& c : f.comments) {
-    out += "|" + c.source_id + ":" + std::to_string(static_cast<int>(c.kind)) +
-           ":" + c.message;
-    for (const auto& d : c.details) out += ";" + d;
-  }
-  return out;
+/// True when the production matcher returns exactly the reference's
+/// canonical embeddings (same order, ι, γ and incorrect marks).
+bool MatchersAgree(const core::Pattern& pattern, const pdg::Epdg& graph) {
+  auto same = [](const core::Embedding& a, const core::Embedding& b) {
+    return a.iota == b.iota && a.gamma == b.gamma &&
+           a.incorrect_nodes == b.incorrect_nodes;
+  };
+  auto reference = core::testutil::LegacyMatchPattern(pattern, graph);
+  auto production = core::MatchPattern(pattern, graph);
+  return std::equal(reference.begin(), reference.end(), production.begin(),
+                    production.end(), same);
 }
 
-/// Grades `unit` with `engine`, returning the (deterministic) match stats
+/// Grades `unit` in production, returning the (deterministic) match stats
 /// and the best wall time over `reps` runs.
 EngineRun TimeSubmission(const core::AssignmentSpec& spec,
-                         const java::CompilationUnit& unit,
-                         core::MatchEngine engine, int reps,
-                         std::string* feedback_key) {
-  core::SubmissionMatchOptions options;
-  options.match.engine = engine;
+                         const java::CompilationUnit& unit, int reps) {
   EngineRun run;
   for (int r = 0; r < reps; ++r) {
     Clock::time_point t0 = Clock::now();
-    auto feedback = core::MatchSubmission(spec, unit, options);
+    auto feedback = core::MatchSubmission(spec, unit);
     double us =
         std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
     if (r == 0 || us < run.wall_us) run.wall_us = us;
-    if (feedback.ok()) {
-      run.stats = feedback->match_stats;
-      if (feedback_key != nullptr) *feedback_key = FeedbackKey(*feedback);
+    if (feedback.ok()) run.stats = feedback->match_stats;
+  }
+  return run;
+}
+
+/// Runs the reference over every (spec pattern, graph) pair — the cells
+/// Algorithm 2 evaluates — returning the summed stats and the best wall
+/// time over `reps` runs. Each call gets its own stats block, so max_steps
+/// stays a per-pattern bound as in Algorithm 2.
+EngineRun TimeReference(const core::AssignmentSpec& spec,
+                        const std::vector<pdg::Epdg>& graphs, int reps) {
+  EngineRun run;
+  for (int r = 0; r < reps; ++r) {
+    core::MatchStats total;
+    Clock::time_point t0 = Clock::now();
+    for (const auto& method : spec.methods) {
+      for (const auto& use : method.patterns) {
+        if (use.pattern == nullptr) continue;
+        for (const auto& graph : graphs) {
+          core::MatchStats call;
+          core::testutil::LegacyMatchPattern(*use.pattern, graph, {}, &call);
+          total.Accumulate(call);
+        }
+      }
     }
+    double us =
+        std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+    if (r == 0 || us < run.wall_us) run.wall_us = us;
+    run.stats = total;
   }
   return run;
 }
@@ -165,8 +195,9 @@ EngineReport RunEngineReport() {
   const auto& kb = jfeed::kb::KnowledgeBase::Get();
   constexpr int kReps = 5;
 
-  std::printf("match engine report: legacy vs. indexed, %zu assignments "
-              "(reference submissions, best of %d runs)\n\n",
+  std::printf("match engine report: legacy (reference backtracker) vs. "
+              "indexed (production), %zu assignments (reference "
+              "submissions, best of %d runs)\n\n",
               kb.assignment_ids().size(), kReps);
   std::printf("  %-18s %10s %10s %8s %9s %8s %10s %10s %9s %7s\n",
               "assignment", "steps", "steps", "step", "pruned", "memo",
@@ -179,24 +210,28 @@ EngineReport RunEngineReport() {
     const auto& assignment = kb.assignment(id);
     auto unit = java::Parse(assignment.Reference());
     if (!unit.ok()) continue;
+    auto graphs = pdg::BuildAllEpdgs(*unit);
+    if (!graphs.ok()) continue;
 
     AssignmentReport ar;
     ar.id = id;
-    std::string legacy_key, indexed_key;
-    ar.legacy = TimeSubmission(assignment.spec, *unit,
-                               core::MatchEngine::kLegacy, kReps,
-                               &legacy_key);
-    ar.indexed = TimeSubmission(assignment.spec, *unit,
-                                core::MatchEngine::kIndexed, kReps,
-                                &indexed_key);
-    if (legacy_key != indexed_key) {
-      std::fprintf(stderr, "FAIL: engines disagree on %s\n", id.c_str());
-      report.equivalent = false;
+    ar.legacy = TimeReference(assignment.spec, *graphs, kReps);
+    ar.indexed = TimeSubmission(assignment.spec, *unit, kReps);
+    for (const auto& method : assignment.spec.methods) {
+      for (const auto& use : method.patterns) {
+        if (use.pattern == nullptr) continue;
+        for (const auto& graph : *graphs) {
+          if (!MatchersAgree(*use.pattern, graph)) {
+            std::fprintf(stderr, "FAIL: matchers disagree on %s pattern %s\n",
+                         id.c_str(), use.pattern->id.c_str());
+            report.equivalent = false;
+          }
+        }
+      }
     }
 
     // Index build cost, amortized over enough reps to be measurable.
-    auto graphs = pdg::BuildAllEpdgs(*unit);
-    if (graphs.ok()) {
+    {
       constexpr int kIndexReps = 200;
       Clock::time_point t0 = Clock::now();
       for (int r = 0; r < kIndexReps; ++r) {
@@ -241,16 +276,12 @@ EngineReport RunEngineReport() {
     for (const char* pid : {"odd-positions", "even-positions",
                             "cond-accum-add", "assign-print"}) {
       const core::Pattern& pattern = jfeed::kb::PatternLibrary::Get().at(pid);
-      core::MatchOptions legacy;
-      legacy.engine = core::MatchEngine::kLegacy;
       core::MatchStats legacy_stats, indexed_stats;
-      auto legacy_ms =
-          core::MatchPattern(pattern, graph, legacy, &legacy_stats);
-      auto indexed_ms =
-          core::MatchPattern(pattern, graph, index, {}, &indexed_stats);
-      if (legacy_ms.size() != indexed_ms.size()) {
-        std::fprintf(stderr, "FAIL: engines disagree on ablation pattern %s\n",
-                     pid);
+      core::testutil::LegacyMatchPattern(pattern, graph, {}, &legacy_stats);
+      core::MatchPattern(pattern, graph, index, {}, &indexed_stats);
+      if (!MatchersAgree(pattern, graph)) {
+        std::fprintf(stderr,
+                     "FAIL: matchers disagree on ablation pattern %s\n", pid);
         report.equivalent = false;
       }
       report.ablation.legacy_steps += legacy_stats.steps;
@@ -452,8 +483,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Tracing covers the engine report (the corpus sweep both engines run),
-  // giving a per-submission span breakdown to open in Perfetto.
+  // Tracing covers the engine report (the production matcher's corpus
+  // sweep), giving a per-submission span breakdown to open in Perfetto.
   if (!trace_path.empty()) jfeed::obs::Tracer::Global().Enable();
   EngineReport report = RunEngineReport();
   if (!trace_path.empty()) {

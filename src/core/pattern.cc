@@ -38,8 +38,6 @@ std::set<std::string> Pattern::Variables() const {
     out.insert(node.exact.variables().begin(), node.exact.variables().end());
     out.insert(node.approx.variables().begin(),
                node.approx.variables().end());
-    out.insert(node.ast_exact.variables().begin(),
-               node.ast_exact.variables().end());
   }
   return out;
 }
@@ -62,9 +60,7 @@ Status Pattern::Validate() const {
   }
   // Definition 4: variables of r̂ must be a subset of variables of r.
   for (size_t i = 0; i < nodes.size(); ++i) {
-    std::set<std::string> exact_vars = nodes[i].exact.variables();
-    exact_vars.insert(nodes[i].ast_exact.variables().begin(),
-                      nodes[i].ast_exact.variables().end());
+    const std::set<std::string>& exact_vars = nodes[i].exact.variables();
     for (const auto& v : nodes[i].approx.variables()) {
       if (exact_vars.count(v) == 0) {
         return Status::InvalidArgument(
@@ -152,33 +148,6 @@ PatternBuilder& PatternBuilder::Node(PatternNodeType type,
       if (deferred_error_.ok()) deferred_error_ = compiled.status();
     } else {
       node.approx = std::move(*compiled);
-    }
-  }
-  node.feedback_correct = feedback_correct;
-  node.feedback_incorrect = feedback_incorrect;
-  pattern_.nodes.push_back(std::move(node));
-  return *this;
-}
-
-PatternBuilder& PatternBuilder::NodeAst(PatternNodeType type,
-                                        const std::string& exact,
-                                        const std::string& approx,
-                                        const std::string& feedback_correct,
-                                        const std::string& feedback_incorrect) {
-  PatternNode node;
-  node.type = type;
-  auto compiled = AstTemplate::Create(exact, variables_);
-  if (!compiled.ok()) {
-    if (deferred_error_.ok()) deferred_error_ = compiled.status();
-  } else {
-    node.ast_exact = std::move(*compiled);
-  }
-  if (!approx.empty()) {
-    auto approx_compiled = ExprPattern::Create(approx, variables_);
-    if (!approx_compiled.ok()) {
-      if (deferred_error_.ok()) deferred_error_ = approx_compiled.status();
-    } else {
-      node.approx = std::move(*approx_compiled);
     }
   }
   node.feedback_correct = feedback_correct;

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "core/ast_matcher.h"
 #include "core/expr_pattern.h"
 #include "pdg/epdg.h"
 #include "support/result.h"
@@ -38,10 +37,6 @@ struct PatternNode {
   PatternNodeType type = PatternNodeType::kUntyped;
   ExprPattern exact;
   ExprPattern approx;
-  /// Optional AST backend for r (paper Sec. VII): when non-empty it
-  /// replaces the regex `exact` during matching; `approx` remains a regex
-  /// fallback that marks the node incorrect.
-  AstTemplate ast_exact;
   std::string feedback_correct;
   std::string feedback_incorrect;
 };
@@ -104,14 +99,6 @@ class PatternBuilder {
                        const std::string& approx = "",
                        const std::string& feedback_correct = "",
                        const std::string& feedback_incorrect = "");
-
-  /// Adds a node whose exact expression is matched structurally (AST
-  /// unification with commutative operators) instead of by regex. `approx`
-  /// stays a regex template.
-  PatternBuilder& NodeAst(PatternNodeType type, const std::string& exact,
-                          const std::string& approx = "",
-                          const std::string& feedback_correct = "",
-                          const std::string& feedback_incorrect = "");
 
   PatternBuilder& CtrlEdge(int source, int target);
   PatternBuilder& DataEdge(int source, int target);

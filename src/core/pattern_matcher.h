@@ -25,20 +25,6 @@ struct Embedding {
   bool IsFullyCorrect() const { return incorrect_nodes.empty(); }
 };
 
-/// Which Algorithm-1 implementation runs. Both produce byte-identical
-/// canonical embeddings (the equivalence suite gates this); they differ in
-/// cost only.
-enum class MatchEngine {
-  /// Index-driven flat-state engine: candidates come from the shared
-  /// pdg::MatchIndex type buckets, signature-pruned before backtracking;
-  /// the search state is allocation-free per step; binding-independent
-  /// template checks are memoized per graph node.
-  kIndexed,
-  /// The original per-pattern type-scan backtracker, kept as the
-  /// equivalence reference and the ablation baseline.
-  kLegacy,
-};
-
 /// Tuning knobs for the backtracking search.
 struct MatchOptions {
   /// Upper bound on embeddings gathered before the search stops. Subgraph
@@ -51,18 +37,17 @@ struct MatchOptions {
   /// and candidate-set size (Sec. IV: "the performance depends on the size
   /// of the search space and the processing order of the pattern nodes").
   /// Disabled, nodes are processed in declaration order — the ablation
-  /// bench quantifies the difference. Both engines rank by the *type
-  /// bucket* size (pre-pruning) so their exploration order — and therefore
-  /// their canonical output — stays identical.
+  /// bench quantifies the difference. Candidate sets are ranked by their
+  /// *type bucket* size (pre-pruning), which keeps the exploration order —
+  /// and therefore the canonical output — that of the reference
+  /// backtracker the tests compare against.
   bool use_ordering_heuristic = true;
-  /// Engine selection; kIndexed is the production default.
-  MatchEngine engine = MatchEngine::kIndexed;
-  /// Bump arena for the indexed engine's per-run state (plans, memo,
-  /// emitted embeddings). Null means the engine creates a private arena
-  /// per call; the grading pipeline passes its pooled per-worker arena,
-  /// reset between submissions, so steady-state matching performs no
+  /// Bump arena for the matcher's per-run state (plans, memo, emitted
+  /// embeddings). Null means the matcher creates a private arena per call;
+  /// the grading pipeline passes its pooled per-worker arena, reset
+  /// between submissions, so steady-state matching performs no
   /// general-purpose allocations. The caller must not Reset() it while a
-  /// match runs. Ignored by the legacy engine.
+  /// match runs.
   Arena* scratch_arena = nullptr;
 };
 
@@ -71,10 +56,10 @@ struct MatchStats {
   int64_t steps = 0;            ///< Candidate (u, v) pairs tried.
   int64_t regex_checks = 0;     ///< Variable-combination template checks.
   /// Candidates dropped by degree-signature pruning before backtracking
-  /// ever considered them (indexed engine only).
+  /// ever considered them.
   int64_t candidates_pruned = 0;
   /// Template checks answered by the binding-independent memo instead of a
-  /// regex execution (indexed engine only).
+  /// regex execution.
   int64_t memo_hits = 0;
   bool truncated = false;       ///< Search stopped at a limit.
 
@@ -99,9 +84,9 @@ struct MatchStats {
 /// embedding count means "distinct placements of the pattern", which is what
 /// Algorithm 2 compares against the expected-occurrence map t̄.
 ///
-/// With options.engine == kIndexed this overload builds a throw-away
-/// pdg::MatchIndex for `epdg`; callers matching many patterns against the
-/// same graph should build the index once and use the overload below.
+/// This overload builds a throw-away pdg::MatchIndex for `epdg`; callers
+/// matching many patterns against the same graph should build the index
+/// once and use the overload below.
 std::vector<Embedding> MatchPattern(const Pattern& pattern,
                                     const pdg::Epdg& epdg,
                                     const MatchOptions& options = {},
@@ -109,8 +94,7 @@ std::vector<Embedding> MatchPattern(const Pattern& pattern,
 
 /// Same, with a caller-owned match index (built once per EPDG and shared
 /// across all patterns, variants, and method candidates — DESIGN.md §3a).
-/// `index` must have been built from `epdg`. Ignored when options.engine is
-/// kLegacy.
+/// `index` must have been built from `epdg`.
 std::vector<Embedding> MatchPattern(const Pattern& pattern,
                                     const pdg::Epdg& epdg,
                                     const pdg::MatchIndex& index,

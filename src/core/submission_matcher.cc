@@ -175,11 +175,8 @@ Result<SubmissionFeedback> MatchGraphsImpl(
                        MatchStats* sink) {
     MatchStats call_stats;
     std::vector<Embedding> m =
-        options.match.engine == MatchEngine::kIndexed
-            ? MatchPattern(pattern, *graphs[graph_index].graph,
-                           index_for(graph_index), options.match, &call_stats)
-            : MatchPattern(pattern, *graphs[graph_index].graph, options.match,
-                           &call_stats);
+        MatchPattern(pattern, *graphs[graph_index].graph,
+                     index_for(graph_index), options.match, &call_stats);
     sink->Accumulate(call_stats);
     return m;
   };

@@ -13,7 +13,7 @@ namespace jfeed::java {
 /// `private`, `static`, `final` are accepted and ignored).
 Result<CompilationUnit> Parse(std::string_view source);
 
-/// Parses a single expression (used by tests and by pattern tooling).
+/// Parses a single expression.
 Result<ExprPtr> ParseExpression(std::string_view source);
 
 /// Parses a single statement.

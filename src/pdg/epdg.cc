@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 #include <utility>
 
 #include "javalang/analysis.h"
@@ -58,7 +57,6 @@ Epdg::Epdg(std::string method_name, EpdgMemory* memory)
   types_.Attach(arena);
   contents_.Attach(arena);
   lines_.Attach(arena);
-  asts_.Attach(arena);
   var_spans_.Attach(arena);
   var_pool_.Attach(arena);
   edges_.Attach(arena);
@@ -69,7 +67,6 @@ Node Epdg::NodeAt(graph::NodeId id) const {
   n.type = types_[id];
   n.content = contents_[id];
   n.line = lines_[id];
-  n.ast = asts_[id];
   const VarSpan& vs = var_spans_[id];
   n.reads = {var_pool_.data() + vs.begin, vs.read_count};
   n.writes = {var_pool_.data() + vs.begin + vs.read_count, vs.write_count};
@@ -78,14 +75,12 @@ Node Epdg::NodeAt(graph::NodeId id) const {
 }
 
 graph::NodeId Epdg::AddNode(NodeType type, std::string_view content, int line,
-                            const java::Expr* ast,
                             std::span<const SymbolId> reads,
                             std::span<const SymbolId> writes) {
   graph::NodeId id = static_cast<graph::NodeId>(types_.size());
   types_.push_back(type);
   contents_.push_back(mem_->arena.StrDup(content));
   lines_.push_back(line);
-  asts_.push_back(ast);
   VarSpan vs;
   vs.begin = static_cast<uint32_t>(var_pool_.size());
   vs.read_count = static_cast<uint16_t>(reads.size());
@@ -108,11 +103,6 @@ void Epdg::AddEdge(graph::NodeId source, graph::NodeId target, EdgeType type) {
   }
   edges_.push_back({source, target, type});
   frozen_ = false;
-}
-
-const java::Expr* Epdg::KeepAst(java::ExprPtr ast) {
-  owned_asts_.push_back(std::move(ast));
-  return owned_asts_.back().get();
 }
 
 void Epdg::Freeze() const {
@@ -195,9 +185,8 @@ class Builder final : java::VarSink {
       writes_.clear();
       SymbolId pid = symbols_->Intern(param.name);
       writes_.push_back(pid);
-      const java::Expr* ast = epdg_.KeepAst(java::MakeName(param.name));
-      graph::NodeId id = EmitNode(NodeType::kDecl, buffer_, ast, method_.line,
-                                  graph::kInvalidNode);
+      graph::NodeId id =
+          EmitNode(NodeType::kDecl, buffer_, method_.line, graph::kInvalidNode);
       StrongSet(pid, id);
     }
     if (method_.body) {
@@ -319,12 +308,11 @@ class Builder final : java::VarSink {
   /// wiring its Ctrl edge and the Data edges from the reaching definitions
   /// of its reads (reads iterate in name order, definitions ascending —
   /// the edge-list order the matcher's canonical output depends on).
-  graph::NodeId EmitNode(NodeType type, std::string_view content,
-                         const java::Expr* ast, int line, graph::NodeId ctrl) {
-    graph::NodeId id =
-        epdg_.AddNode(type, content, line, ast,
-                      {reads_.data(), reads_.size()},
-                      {writes_.data(), writes_.size()});
+  graph::NodeId EmitNode(NodeType type, std::string_view content, int line,
+                         graph::NodeId ctrl) {
+    graph::NodeId id = epdg_.AddNode(type, content, line,
+                                     {reads_.data(), reads_.size()},
+                                     {writes_.data(), writes_.size()});
     if (ctrl != graph::kInvalidNode) {
       epdg_.AddEdge(ctrl, id, EdgeType::kCtrl);
     }
@@ -345,7 +333,7 @@ class Builder final : java::VarSink {
     reads_.clear();
     writes_.clear();
     if (expr != nullptr) java::VisitVars(*expr, this);
-    graph::NodeId id = EmitNode(type, content, expr, line, ctrl);
+    graph::NodeId id = EmitNode(type, content, line, ctrl);
     for (SymbolId w : writes_) {
       if (weak_update) {
         WeakAdd(w, id);
@@ -388,7 +376,6 @@ class Builder final : java::VarSink {
           buffer_ += decl.name;
           reads_.clear();
           writes_.clear();
-          const java::Expr* ast = nullptr;
           if (decl.init) {
             buffer_ += " = ";
             java::AppendExprToString(*decl.init, &buffer_);
@@ -398,19 +385,11 @@ class Builder final : java::VarSink {
             drop_writes_ = true;
             java::VisitVars(*decl.init, this);
             drop_writes_ = false;
-            // Declarations appear to the AST backend as the assignment
-            // `name = init` (mirrors the node content "int name = init").
-            ast = epdg_.KeepAst(
-                java::MakeAssign(java::AssignOp::kAssign,
-                                 java::MakeName(decl.name),
-                                 decl.init->Clone()));
-          } else {
-            ast = epdg_.KeepAst(java::MakeName(decl.name));
           }
           SymbolId name_id = symbols_->Intern(decl.name);
           InsertByName(&writes_, decl.name);
           graph::NodeId id =
-              EmitNode(NodeType::kAssign, buffer_, ast, stmt.line, ctrl);
+              EmitNode(NodeType::kAssign, buffer_, stmt.line, ctrl);
           StrongSet(name_id, id);
         }
         return Status::OK();
@@ -552,13 +531,6 @@ class Builder final : java::VarSink {
 
 Result<Epdg> BuildEpdg(const java::Method& method, EpdgMemory* memory) {
   JFEED_FAULT_POINT(fault::points::kEpdgBuilder);
-  // The decl/param expressions the builder synthesizes live exactly as
-  // long as the Epdg, and the Epdg must not outlive `memory` — so when a
-  // pool is supplied those nodes can share its arena. (The graph's
-  // destructor still runs before Reset() per the lifetime contract, which
-  // is all their destruction needs.)
-  std::optional<java::AstArenaScope> ast_scope;
-  if (memory != nullptr) ast_scope.emplace(&memory->arena);
   return Builder(method, memory).Build();
 }
 

@@ -54,11 +54,6 @@ struct Node {
   NodeType type = NodeType::kAssign;
   std::string_view content;  ///< Normalized Java expression (arena-backed).
   int line = 0;              ///< Source line (for feedback messages).
-  /// Expression form of the content (declarations appear as assignments,
-  /// returns as their value); null for nodes without one (break). Borrowed:
-  /// statement expressions point into the parsed method's AST, synthesized
-  /// forms are owned by the Epdg. Used by the AST matching backend.
-  const java::Expr* ast = nullptr;
   std::span<const SymbolId> reads;   ///< Read vars, sorted by name.
   std::span<const SymbolId> writes;  ///< Written vars, sorted by name.
   const SymbolTable* symbols = nullptr;
@@ -97,14 +92,13 @@ struct Node {
 
 /// The extended program dependence graph of one method (Definition 3),
 /// stored as structure-of-arrays in a bump arena: parallel per-node arrays
-/// (type/content/line/ast/var-span) plus a flat edge list that freezes into
-/// a CSR adjacency on first HasEdge(). The matcher's innermost loops are
+/// (type/content/line/var-span) plus a flat edge list that freezes into a
+/// CSR adjacency on first HasEdge(). The matcher's innermost loops are
 /// contiguous scans and integer compares over this storage.
 ///
-/// Lifetime: node contents and var spans live in the EpdgMemory arena;
-/// node `ast` pointers borrow the parsed method's AST. An Epdg must not
-/// outlive either the memory it was built on or the CompilationUnit it was
-/// built from.
+/// Lifetime: node contents and var spans live in the EpdgMemory arena, so
+/// an Epdg must not outlive the memory it was built on. It keeps no
+/// pointer into the CompilationUnit it was built from.
 class Epdg {
  public:
   struct Edge {
@@ -168,7 +162,7 @@ class Epdg {
   /// Appends a node; `content` is copied into the arena, the id spans into
   /// the node's private slice of the var pool.
   graph::NodeId AddNode(NodeType type, std::string_view content, int line,
-                        const java::Expr* ast, std::span<const SymbolId> reads,
+                        std::span<const SymbolId> reads,
                         std::span<const SymbolId> writes);
 
   /// Appends the edge unless an identical (source, target, type) triple
@@ -176,10 +170,6 @@ class Epdg {
   /// this replaces the old hash-set probe plus dual adjacency insert with
   /// one append into one array.
   void AddEdge(graph::NodeId source, graph::NodeId target, EdgeType type);
-
-  /// Transfers ownership of a synthesized AST form (parameter names,
-  /// declaration assignments) so node `ast` pointers stay valid.
-  const java::Expr* KeepAst(java::ExprPtr ast);
 
   // --- Reporting ------------------------------------------------------------
 
@@ -213,14 +203,10 @@ class Epdg {
   ArenaVec<NodeType> types_;
   ArenaVec<std::string_view> contents_;
   ArenaVec<int> lines_;
-  ArenaVec<const java::Expr*> asts_;
   ArenaVec<VarSpan> var_spans_;
   ArenaVec<SymbolId> var_pool_;  ///< Concatenated read/write id slices.
 
   ArenaVec<Edge> edges_;  ///< Insertion order; source of truth.
-  /// Synthesized expressions whose destructors must run (their string
-  /// payloads are heap-backed even when the node structs sit in an arena).
-  std::vector<java::ExprPtr> owned_asts_;
 
   mutable graph::Csr out_;        ///< Packed out-adjacency, built by Freeze.
   mutable bool frozen_ = false;
@@ -238,8 +224,7 @@ class Epdg {
 ///   * Array-element stores are weak updates: they add a definition of the
 ///     array variable without killing previous definitions.
 ///
-/// The result borrows `method`'s AST (see Epdg lifetime note) and builds on
-/// `memory` when given.
+/// The result builds on `memory` when given (see the Epdg lifetime note).
 Result<Epdg> BuildEpdg(const java::Method& method,
                        EpdgMemory* memory = nullptr);
 

@@ -110,9 +110,8 @@ Result<std::shared_ptr<MethodEntry>> MethodCache::BuildEntry(
         "method has no normalized source (hand-built AST?)");
   }
   auto entry = std::make_shared<MethodEntry>();
-  // Everything the entry pins — re-parsed AST nodes and the EPDG's
-  // synthesized expression forms — must allocate from the entry's own
-  // arena, not whatever recycled worker arena is currently in scope.
+  // The re-parsed AST nodes the entry pins must allocate from the entry's
+  // own arena, not whatever recycled worker arena is currently in scope.
   java::AstArenaScope scope(&entry->memory.arena);
   JFEED_ASSIGN_OR_RETURN(entry->unit, java::Parse(method.norm_source));
   if (entry->unit.methods.size() != 1) {

@@ -17,9 +17,9 @@ namespace jfeed::service {
 
 /// One pinned method shared across resubmissions: its own EpdgMemory (NOT
 /// the recycled worker arena — DESIGN.md §3c pools are reset between
-/// submissions, which would invalidate a cached graph), the re-parsed AST
-/// the graph borrows statement expressions from, the frozen EPDG itself,
-/// and the per-expected-method match cells computed so far.
+/// submissions, which would invalidate a cached graph), the method's
+/// re-parsed AST, the frozen EPDG built from it, and the
+/// per-expected-method match cells computed so far.
 ///
 /// Member order is the destruction contract: `memory` is declared first so
 /// it is destroyed LAST — the unit's AST nodes and the graph's arrays live

@@ -40,10 +40,10 @@ enum class FailureClass {
 /// How much of the feedback machinery was available for this outcome — the
 /// graceful-degradation ladder. Full EPDG feedback when everything works;
 /// AST-pattern-only feedback when EPDG construction or graph matching
-/// fails (patterns are checked per-node against statement text/ASTs, no
-/// structural edges, no constraints); a parse diagnostic when even parsing
-/// fails. Every submission lands on some rung — the pipeline never returns
-/// "crashed".
+/// fails (patterns are checked per-node against the parsed statements'
+/// text, no structural edges, no constraints); a parse diagnostic when even
+/// parsing fails. Every submission lands on some rung — the pipeline never
+/// returns "crashed".
 enum class FeedbackTier { kFullEpdg, kAstOnly, kParseDiagnostic };
 
 /// Final verdict of one graded submission.

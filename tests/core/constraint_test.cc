@@ -28,8 +28,7 @@ class ConstraintTest : public ::testing::Test {
   void SetUp() override {
     auto unit = java::Parse(kFigure2a);
     ASSERT_TRUE(unit.ok());
-    unit_ = std::move(*unit);  // The EPDG borrows the unit's ASTs.
-    auto g = pdg::BuildEpdg(unit_.methods[0]);
+    auto g = pdg::BuildEpdg(unit->methods[0]);
     ASSERT_TRUE(g.ok());
     epdg_ = std::move(*g);
     odd_ = testutil::OddPositionsPattern();
@@ -40,7 +39,6 @@ class ConstraintTest : public ::testing::Test {
     sets_[print_.id] = MatchPattern(print_, epdg_);
   }
 
-  java::CompilationUnit unit_;  // Must outlive epdg_ (declared first).
   pdg::Epdg epdg_;
   Pattern odd_, accum_, print_;
   EmbeddingSets sets_;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <deque>
 #include <set>
 #include <string>
 #include <utility>
@@ -12,18 +11,16 @@
 #include "pdg/epdg.h"
 #include "pdg/match_index.h"
 #include "tests/core/paper_patterns.h"
+#include "tests/testutil/legacy_matcher.h"
 
 namespace jfeed::core {
 namespace {
 
 pdg::Epdg BuildFrom(const std::string& source) {
-  // EPDG nodes borrow statement ASTs from the compilation unit, so the
-  // parsed units must outlive every graph handed back to a test.
-  static auto* units = new std::deque<java::CompilationUnit>();
+  // The graph copies what it needs from the unit, so the unit can go.
   auto unit = java::Parse(source);
   EXPECT_TRUE(unit.ok()) << unit.status().ToString();
-  units->push_back(std::move(*unit));
-  auto g = pdg::BuildEpdg(units->back().methods[0]);
+  auto g = pdg::BuildEpdg(unit->methods[0]);
   EXPECT_TRUE(g.ok()) << g.status().ToString();
   return std::move(*g);
 }
@@ -267,7 +264,8 @@ TEST(PatternMatcherTest, StatsAreAccumulated) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine equivalence and the indexed-engine additions.
+// Equivalence with the reference backtracker (tests/testutil), and what the
+// index-driven search adds over it.
 
 /// Serializes canonical embeddings byte-for-byte (ι, γ, incorrect marks, in
 /// discovery order) so equivalence tests can require exact equality.
@@ -296,12 +294,8 @@ TEST(MatchEngineTest, EnginesProduceIdenticalCanonicalEmbeddings) {
   for (const char* source : {kFigure2a, kFigure2b}) {
     pdg::Epdg g = BuildFrom(source);
     for (const Pattern& p : AllTestPatterns()) {
-      MatchOptions legacy;
-      legacy.engine = MatchEngine::kLegacy;
-      MatchOptions indexed;
-      indexed.engine = MatchEngine::kIndexed;
-      EXPECT_EQ(Describe(MatchPattern(p, g, legacy)),
-                Describe(MatchPattern(p, g, indexed)))
+      EXPECT_EQ(Describe(testutil::LegacyMatchPattern(p, g)),
+                Describe(MatchPattern(p, g)))
           << p.id;
     }
   }
@@ -320,10 +314,8 @@ TEST(MatchEngineTest, SharedIndexOverloadMatchesThrowawayIndex) {
 TEST(MatchEngineTest, SignaturePruningReportsAndPreservesResults) {
   pdg::Epdg g = BuildFrom(kFigure2a);
   Pattern p = testutil::OddPositionsPattern();
-  MatchOptions legacy;
-  legacy.engine = MatchEngine::kLegacy;
   MatchStats legacy_stats;
-  auto legacy_ms = MatchPattern(p, g, legacy, &legacy_stats);
+  auto legacy_ms = testutil::LegacyMatchPattern(p, g, {}, &legacy_stats);
   MatchStats indexed_stats;
   auto indexed_ms = MatchPattern(p, g, {}, &indexed_stats);
   EXPECT_EQ(Describe(legacy_ms), Describe(indexed_ms));
@@ -347,10 +339,8 @@ TEST(MatchEngineTest, BindingIndependentTemplateChecksAreMemoized) {
       "System.out.println(3); }");
   MatchStats indexed_stats;
   auto indexed_ms = MatchPattern(*built, g, {}, &indexed_stats);
-  MatchOptions legacy;
-  legacy.engine = MatchEngine::kLegacy;
   MatchStats legacy_stats;
-  auto legacy_ms = MatchPattern(*built, g, legacy, &legacy_stats);
+  auto legacy_ms = testutil::LegacyMatchPattern(*built, g, {}, &legacy_stats);
   EXPECT_EQ(Describe(legacy_ms), Describe(indexed_ms));
   EXPECT_GT(indexed_stats.memo_hits, 0);
   EXPECT_LT(indexed_stats.regex_checks, legacy_stats.regex_checks);
@@ -358,7 +348,8 @@ TEST(MatchEngineTest, BindingIndependentTemplateChecksAreMemoized) {
 
 // ---------------------------------------------------------------------------
 // Truncation paths: both limits set MatchStats::truncated and the truncated
-// result is still canonical (no two embeddings share an ι).
+// result is still canonical (no two embeddings share an ι), in production
+// and in the reference.
 
 void ExpectCanonical(const std::vector<Embedding>& ms) {
   std::set<std::string> iotas;
@@ -372,16 +363,26 @@ void ExpectCanonical(const std::vector<Embedding>& ms) {
   }
 }
 
-class TruncationTest : public ::testing::TestWithParam<MatchEngine> {};
+/// The matcher under test: production, or the reference under tests/.
+enum class Engine { kIndexed, kLegacy };
+
+std::vector<Embedding> Match(Engine engine, const Pattern& pattern,
+                             const pdg::Epdg& g, const MatchOptions& options,
+                             MatchStats* stats = nullptr) {
+  return engine == Engine::kIndexed
+             ? MatchPattern(pattern, g, options, stats)
+             : testutil::LegacyMatchPattern(pattern, g, options, stats);
+}
+
+class TruncationTest : public ::testing::TestWithParam<Engine> {};
 
 TEST_P(TruncationTest, MaxStepsSetsTruncatedAndStaysCanonical) {
   pdg::Epdg g = BuildFrom(kFigure2a);
   Pattern p = testutil::AssignPrintPattern();
   MatchOptions options;
-  options.engine = GetParam();
   options.max_steps = 4;
   MatchStats stats;
-  auto ms = MatchPattern(p, g, options, &stats);
+  auto ms = Match(GetParam(), p, g, options, &stats);
   EXPECT_TRUE(stats.truncated);
   ExpectCanonical(ms);
 }
@@ -393,10 +394,9 @@ TEST_P(TruncationTest, MaxEmbeddingsSetsTruncatedAndStaysCanonical) {
   ASSERT_TRUE(built.ok());
   pdg::Epdg g = BuildFrom(kFigure2a);
   MatchOptions options;
-  options.engine = GetParam();
   options.max_embeddings = 3;
   MatchStats stats;
-  auto ms = MatchPattern(*built, g, options, &stats);
+  auto ms = Match(GetParam(), *built, g, options, &stats);
   EXPECT_EQ(ms.size(), 3u);
   EXPECT_TRUE(stats.truncated);
   ExpectCanonical(ms);
@@ -405,21 +405,17 @@ TEST_P(TruncationTest, MaxEmbeddingsSetsTruncatedAndStaysCanonical) {
 TEST_P(TruncationTest, UntruncatedRunLeavesFlagClear) {
   pdg::Epdg g = BuildFrom(kFigure2b);
   Pattern p = testutil::OddPositionsPattern();
-  MatchOptions options;
-  options.engine = GetParam();
   MatchStats stats;
-  auto ms = MatchPattern(p, g, options, &stats);
+  auto ms = Match(GetParam(), p, g, {}, &stats);
   EXPECT_FALSE(stats.truncated);
   EXPECT_EQ(ms.size(), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothEngines, TruncationTest,
-                         ::testing::Values(MatchEngine::kIndexed,
-                                           MatchEngine::kLegacy),
+                         ::testing::Values(Engine::kIndexed, Engine::kLegacy),
                          [](const auto& info) {
-                           return info.param == MatchEngine::kIndexed
-                                      ? "Indexed"
-                                      : "Legacy";
+                           return info.param == Engine::kIndexed ? "Indexed"
+                                                                 : "Legacy";
                          });
 
 // ---------------------------------------------------------------------------
@@ -429,12 +425,10 @@ INSTANTIATE_TEST_SUITE_P(BothEngines, TruncationTest,
 TEST(MatchEngineTest, OrderingHeuristicDoesNotChangeCanonicalSet) {
   for (const char* source : {kFigure2a, kFigure2b}) {
     pdg::Epdg g = BuildFrom(source);
-    for (MatchEngine engine : {MatchEngine::kIndexed, MatchEngine::kLegacy}) {
+    for (Engine engine : {Engine::kIndexed, Engine::kLegacy}) {
       for (const Pattern& p : AllTestPatterns()) {
         MatchOptions with;
-        with.engine = engine;
-        with.use_ordering_heuristic = true;
-        MatchOptions without = with;
+        MatchOptions without;
         without.use_ordering_heuristic = false;
         auto set_of = [](std::vector<Embedding> ms) {
           std::set<std::string> out;
@@ -445,8 +439,8 @@ TEST(MatchEngineTest, OrderingHeuristicDoesNotChangeCanonicalSet) {
           }
           return out;
         };
-        EXPECT_EQ(set_of(MatchPattern(p, g, with)),
-                  set_of(MatchPattern(p, g, without)))
+        EXPECT_EQ(set_of(Match(engine, p, g, with)),
+                  set_of(Match(engine, p, g, without)))
             << p.id;
       }
     }
@@ -454,43 +448,15 @@ TEST(MatchEngineTest, OrderingHeuristicDoesNotChangeCanonicalSet) {
 }
 
 // Property sweep: every returned embedding satisfies Definition 7 — type
-// compatibility, injective ι, all pattern edges present, and r or r̂
-// matching under γ.
+// compatibility, injective ι, all pattern edges present, r or r̂ matching
+// under γ, and injective γ.
 class EmbeddingValidityTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(EmbeddingValidityTest, AllEmbeddingsSatisfyDefinition7) {
   pdg::Epdg g = BuildFrom(GetParam());
-  for (const Pattern& p :
-       {testutil::OddPositionsPattern(), testutil::CondAccumAddPattern(),
-        testutil::AssignPrintPattern()}) {
+  for (const Pattern& p : AllTestPatterns()) {
     for (const Embedding& m : MatchPattern(p, g)) {
-      ASSERT_EQ(m.iota.size(), p.nodes.size());
-      std::set<graph::NodeId> images;
-      for (const auto& [u, v] : m.iota) {
-        images.insert(v);
-        EXPECT_TRUE(TypeMatches(p.nodes[u].type, g.NodeAt(v).type));
-        const PatternNode& node = p.nodes[u];
-        if (!node.exact.empty()) {
-          bool exact = node.exact.Matches(g.NodeAt(v).content, m.gamma);
-          bool approx = !node.approx.empty() &&
-                        node.approx.Matches(g.NodeAt(v).content, m.gamma);
-          EXPECT_TRUE(exact || approx)
-              << p.id << " node " << u << " vs " << g.NodeAt(v).content;
-          if (m.incorrect_nodes.count(u) == 0) {
-            EXPECT_TRUE(exact);
-          }
-        }
-      }
-      EXPECT_EQ(images.size(), m.iota.size()) << "iota not injective";
-      for (const auto& edge : p.edges) {
-        EXPECT_TRUE(g.HasEdge(m.iota.at(edge.source), m.iota.at(edge.target),
-                              edge.type))
-            << p.id << " edge " << edge.source << "->" << edge.target;
-      }
-      std::set<std::string> bound;
-      for (const auto& [pv, sv] : m.gamma) {
-        EXPECT_TRUE(bound.insert(sv).second) << "gamma not injective";
-      }
+      EXPECT_EQ(testutil::Definition7Violation(p, g, m), "") << p.id;
     }
   }
 }

@@ -1,9 +1,10 @@
-// The PR's equivalence gate: the indexed match engine must produce
-// byte-identical canonical embeddings and feedback to the legacy
-// backtracker across the full synthetic corpus (every assignment in the
-// knowledge base). The legacy engine is the pre-index matcher kept as the
-// reference implementation, so any divergence here means the index pruning
-// or the allocation-free search changed observable semantics.
+// The equivalence gate for Algorithm 1: core::MatchPattern must return the
+// same canonical embeddings, byte for byte, as the pre-index backtracker
+// kept under tests/testutil as the reference, in no more steps, across the
+// synthetic corpus of every assignment in the knowledge base. It checks
+// every (spec pattern or variant, method graph) pair, a superset of the
+// MatchPattern calls Algorithm 2 makes on a submission. Every production
+// embedding must also satisfy Definition 7 on its own.
 
 #include <gtest/gtest.h>
 
@@ -11,12 +12,12 @@
 #include <vector>
 
 #include "core/pattern_matcher.h"
-#include "core/submission_matcher.h"
 #include "javalang/parser.h"
 #include "kb/assignments.h"
 #include "pdg/epdg.h"
 #include "pdg/match_index.h"
 #include "synth/generator.h"
+#include "tests/testutil/legacy_matcher.h"
 
 namespace jfeed {
 namespace {
@@ -39,51 +40,12 @@ std::string DescribeEmbeddings(const std::vector<core::Embedding>& ms) {
   return out;
 }
 
-std::string DescribeFeedback(const core::SubmissionFeedback& f) {
-  std::string out = f.matched ? "matched " : "unmatched ";
-  out += std::to_string(f.score) + "\n";
-  for (const auto& [q, h] : f.method_assignment) out += q + "=" + h + "\n";
-  for (const auto& c : f.comments) {
-    out += c.source_id + "|" + c.method + "|" +
-           std::to_string(static_cast<int>(c.kind)) + "|" + c.message + "\n";
-    for (const auto& d : c.details) out += "  " + d + "\n";
-  }
-  return out;
-}
-
 class EngineEquivalenceTest : public ::testing::TestWithParam<const char*> {
  protected:
   const kb::Assignment& assignment() const {
     return kb::KnowledgeBase::Get().assignment(GetParam());
   }
 };
-
-TEST_P(EngineEquivalenceTest, FeedbackIsByteIdenticalAcrossCorpus) {
-  const auto& a = assignment();
-  core::SubmissionMatchOptions legacy;
-  legacy.match.engine = core::MatchEngine::kLegacy;
-  core::SubmissionMatchOptions indexed;
-  indexed.match.engine = core::MatchEngine::kIndexed;
-
-  auto indexes =
-      synth::SampleIndexes(a.generator.SpaceSize(), kSamplesPerAssignment);
-  for (uint64_t index : indexes) {
-    std::string source = a.generator.Generate(index);
-    auto legacy_fb = core::MatchSubmissionSource(a.spec, source, legacy);
-    auto indexed_fb = core::MatchSubmissionSource(a.spec, source, indexed);
-    ASSERT_TRUE(legacy_fb.ok()) << a.id << " index " << index;
-    ASSERT_TRUE(indexed_fb.ok()) << a.id << " index " << index;
-    EXPECT_EQ(DescribeFeedback(*legacy_fb), DescribeFeedback(*indexed_fb))
-        << a.id << " index " << index;
-    // The engines may count steps differently (that is the point), but
-    // both totals must be populated.
-    EXPECT_GT(indexed_fb->match_stats.steps, 0) << a.id;
-    EXPECT_GT(legacy_fb->match_stats.steps, 0) << a.id;
-    EXPECT_LE(indexed_fb->match_stats.steps, legacy_fb->match_stats.steps)
-        << a.id << " index " << index
-        << ": pruning must never add backtracking steps";
-  }
-}
 
 TEST_P(EngineEquivalenceTest, PerPatternEmbeddingsAreByteIdentical) {
   const auto& a = assignment();
@@ -96,18 +58,33 @@ TEST_P(EngineEquivalenceTest, PerPatternEmbeddingsAreByteIdentical) {
     ASSERT_TRUE(graphs.ok());
     for (const auto& g : *graphs) {
       pdg::MatchIndex match_index(g);
+      std::vector<const core::Pattern*> patterns;
       for (const auto& method : a.spec.methods) {
         for (const auto& use : method.patterns) {
-          if (use.pattern == nullptr) continue;
-          core::MatchOptions legacy;
-          legacy.engine = core::MatchEngine::kLegacy;
-          auto legacy_ms = core::MatchPattern(*use.pattern, g, legacy);
-          auto indexed_ms =
-              core::MatchPattern(*use.pattern, g, match_index, {});
-          EXPECT_EQ(DescribeEmbeddings(legacy_ms),
-                    DescribeEmbeddings(indexed_ms))
-              << a.id << " index " << index << " pattern "
-              << use.pattern->id << " method " << g.method_name();
+          patterns.push_back(use.pattern);
+          for (const auto& variant : use.variants) {
+            patterns.push_back(variant.pattern);
+          }
+        }
+      }
+      for (const core::Pattern* pattern : patterns) {
+        if (pattern == nullptr) continue;
+        const std::string context =
+            a.id + " index " + std::to_string(index) + " pattern " +
+            pattern->id + " method " + g.method_name();
+        core::MatchStats legacy_stats, indexed_stats;
+        auto legacy_ms =
+            core::testutil::LegacyMatchPattern(*pattern, g, {}, &legacy_stats);
+        auto indexed_ms =
+            core::MatchPattern(*pattern, g, match_index, {}, &indexed_stats);
+        EXPECT_EQ(DescribeEmbeddings(legacy_ms),
+                  DescribeEmbeddings(indexed_ms))
+            << context;
+        EXPECT_LE(indexed_stats.steps, legacy_stats.steps)
+            << context << ": pruning must never add backtracking steps";
+        for (const auto& m : indexed_ms) {
+          EXPECT_EQ(core::testutil::Definition7Violation(*pattern, g, m), "")
+              << context;
         }
       }
     }

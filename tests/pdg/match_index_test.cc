@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <deque>
 #include <string>
 #include <utility>
 
@@ -13,13 +12,10 @@ namespace jfeed::pdg {
 namespace {
 
 Epdg BuildFrom(const std::string& source) {
-  // EPDG nodes borrow statement ASTs from the compilation unit, so the
-  // parsed units must outlive every graph handed back to a test.
-  static auto* units = new std::deque<java::CompilationUnit>();
+  // The graph copies what it needs from the unit, so the unit can go.
   auto unit = java::Parse(source);
   EXPECT_TRUE(unit.ok()) << unit.status().ToString();
-  units->push_back(std::move(*unit));
-  auto g = BuildEpdg(units->back().methods[0]);
+  auto g = BuildEpdg(unit->methods[0]);
   EXPECT_TRUE(g.ok()) << g.status().ToString();
   return std::move(*g);
 }

@@ -29,8 +29,7 @@ class WorkedExampleTest : public ::testing::Test {
   void SetUp() override {
     auto unit = java::Parse(kFigure2a);
     ASSERT_TRUE(unit.ok()) << unit.status().ToString();
-    unit_ = std::move(*unit);  // The EPDG borrows the unit's ASTs.
-    auto g = BuildEpdg(unit_.methods[0]);
+    auto g = BuildEpdg(unit->methods[0]);
     ASSERT_TRUE(g.ok()) << g.status().ToString();
     epdg_ = std::move(*g);
   }
@@ -65,7 +64,6 @@ class WorkedExampleTest : public ::testing::Test {
     return graph::kInvalidNode;
   }
 
-  java::CompilationUnit unit_;  // Must outlive epdg_ (declared first).
   Epdg epdg_;
 };
 
