@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "javalang/parser.h"
 #include "kb/assignments.h"
 #include "service/pipeline.h"
 #include "support/fault.h"
@@ -81,6 +82,25 @@ TEST(GradingPipelineTest, AstOnlyTierFindsReferencePatternsPresent) {
   for (const auto& comment : outcome.feedback.comments) {
     EXPECT_NE(comment.kind, core::FeedbackKind::kNotExpected)
         << comment.source_id << ": " << comment.message;
+  }
+}
+
+TEST(GradingPipelineTest, ColdGradeBuildsEachMethodGraphOnce) {
+  // The match stage runs on the graphs the EPDG stage built. A
+  // probability-0 campaign fails nothing and counts every builder crossing.
+  for (const auto& id : kb::KnowledgeBase::Get().assignment_ids()) {
+    const kb::Assignment& assignment = kb::KnowledgeBase::Get().assignment(id);
+    auto unit = java::Parse(assignment.Reference());
+    ASSERT_TRUE(unit.ok()) << id;
+    GradingPipeline pipeline(assignment);
+    fault::FaultConfig config;
+    config.probability = 0.0;
+    fault::ScopedFaultInjection injection(config);
+    GradingOutcome outcome = pipeline.Grade(assignment.Reference());
+    EXPECT_EQ(outcome.tier, FeedbackTier::kFullEpdg) << id;
+    EXPECT_EQ(fault::Injector::Get().Hits(fault::points::kEpdgBuilder),
+              static_cast<int64_t>(unit->methods.size()))
+        << id;
   }
 }
 
