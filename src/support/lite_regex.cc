@@ -211,11 +211,9 @@ class LiteRegex::Compiler {
         return false;  // Quantifier with no atom.
       case '{':
       case '}':
-        // ECMAScript tolerates literal braces outside quantifier position;
-        // the templates never use bounded repetition, so treat a brace that
-        // does not parse as {n,m} as a literal.
-        Emit({Op::kChar, static_cast<uint8_t>(c)});
-        return true;
+        // Bounded repetition is outside the subset, and a bare brace would
+        // read as a literal where ECMAScript reads {n,m}; write \{ or \}.
+        return false;
       case '\\':
         return ParseEscape();
       default:

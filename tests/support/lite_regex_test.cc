@@ -96,6 +96,18 @@ TEST(LiteRegexTest, UnsupportedSyntaxFallsBack) {
   EXPECT_FALSE(LiteRegex::Compile("*a", &lite));       // Dangling quantifier.
 }
 
+TEST(LiteRegexTest, UnescapedBracesFailToCompile) {
+  // ECMAScript reads a{2} as "aa"; compiling the braces as literals would
+  // match the text "a{2}" instead.
+  LiteRegex lite;
+  EXPECT_FALSE(LiteRegex::Compile("a{2}", &lite));
+  EXPECT_FALSE(LiteRegex::Compile("a{1,2}", &lite));
+  EXPECT_FALSE(LiteRegex::Compile("{", &lite));
+  EXPECT_FALSE(LiteRegex::Compile("a}", &lite));
+  ExpectAgreesWithStdRegex("a\\{2\\}", {"a{2}", "aa", "a{2", "xa{2}y"});
+  ExpectAgreesWithStdRegex("[{}]", {"{", "}", "x", ""});
+}
+
 TEST(LiteRegexTest, SteadyStateSearchTouchesOnlyScratch) {
   LiteRegex lite;
   ASSERT_TRUE(LiteRegex::Compile("\\bi\\b (<|<=) \\bs\\b\\.length", &lite));
