@@ -59,16 +59,15 @@ bool ResultCache::Lookup(const std::string& assignment_id,
                          uint64_t fingerprint, service::GradingOutcome* out) {
   std::string key = MakeKey(assignment_id, fingerprint);
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  const service::GradingOutcome* cached = entries_.Find(key);
+  if (cached == nullptr) {
     ++stats_.misses;
     MissesTotal()->Increment();
     return false;
   }
-  it->second.referenced = true;
   ++stats_.hits;
   HitsTotal()->Increment();
-  *out = it->second.outcome;
+  *out = *cached;
   return true;
 }
 
@@ -77,34 +76,18 @@ void ResultCache::Insert(const std::string& assignment_id,
                          service::GradingOutcome outcome) {
   std::string key = MakeKey(assignment_id, fingerprint);
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    it->second.outcome = std::move(outcome);
+  if (service::GradingOutcome* existing = entries_.Peek(key)) {
+    *existing = std::move(outcome);
     return;
   }
-  if (entries_.size() >= max_entries_) EvictOneLocked();
-  entries_[key].outcome = std::move(outcome);
-  clock_.push_back(std::move(key));
-  ++stats_.insertions;
-  InsertionsTotal()->Increment();
-}
-
-void ResultCache::EvictOneLocked() {
-  for (size_t step = 0; step < 2 * clock_.size() + 1; ++step) {
-    if (hand_ >= clock_.size()) hand_ = 0;
-    auto it = entries_.find(clock_[hand_]);
-    if (it != entries_.end() && it->second.referenced) {
-      it->second.referenced = false;  // Second chance.
-      ++hand_;
-      continue;
-    }
-    if (it != entries_.end()) entries_.erase(it);
-    clock_[hand_] = std::move(clock_.back());
-    clock_.pop_back();
+  bool evicted = false;
+  entries_.Add(std::move(key), &evicted) = std::move(outcome);
+  if (evicted) {
     ++stats_.evictions;
     EvictionsTotal()->Increment();
-    return;
   }
+  ++stats_.insertions;
+  InsertionsTotal()->Increment();
 }
 
 CacheStats ResultCache::stats() const {
