@@ -60,8 +60,8 @@ Result<ExprPattern> ExprPattern::Create(std::string tmpl,
     probe += piece.is_variable ? "v" : piece.text;
   }
   if (!RegexCache::ThreadLocal().Valid(probe)) {
-    return Status::InvalidArgument("invalid expression template regex: " +
-                                   tmpl);
+    return Status::InvalidArgument(
+        "expression template does not compile as LiteRegex: " + tmpl);
   }
   return out;
 }

@@ -1,10 +1,10 @@
 #include "interp/interpreter.h"
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <deque>
-#include <sstream>
 #include <unordered_map>
 
 #include "javalang/printer.h"
@@ -17,10 +17,19 @@ namespace jfeed::interp {
 namespace java = jfeed::java;
 
 std::vector<std::string> TokenizeScannerInput(const std::string& contents) {
+  // The six C-locale whitespace bytes separate tokens, as they do for
+  // `istream >> string` under the classic locale.
   std::vector<std::string> tokens;
-  std::istringstream is(contents);
-  std::string tok;
-  while (is >> tok) tokens.push_back(tok);
+  std::string token;
+  for (char c : contents) {
+    if (!std::isspace(static_cast<unsigned char>(c))) {
+      token.push_back(c);
+    } else if (!token.empty()) {
+      tokens.push_back(std::move(token));
+      token.clear();
+    }
+  }
+  if (!token.empty()) tokens.push_back(std::move(token));
   return tokens;
 }
 

@@ -1,7 +1,7 @@
 #include "interp/value.h"
 
 #include <cmath>
-#include <sstream>
+#include <cstdio>
 
 namespace jfeed::interp {
 
@@ -37,10 +37,9 @@ namespace {
 std::string JavaDoubleToString(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "Infinity" : "-Infinity";
-  std::ostringstream os;
-  os.precision(15);
-  os << v;
-  std::string s = os.str();
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.15g", v);
+  std::string s = buf;
   if (s.find('.') == std::string::npos && s.find('e') == std::string::npos &&
       s.find("inf") == std::string::npos) {
     s += ".0";

@@ -1,6 +1,6 @@
 #include "javalang/printer.h"
 
-#include <sstream>
+#include <cstdio>
 
 namespace jfeed::java {
 
@@ -51,9 +51,10 @@ std::string EscapeString(const std::string& s) {
 }
 
 std::string FormatDouble(double value) {
-  std::ostringstream os;
-  os << value;
-  std::string s = os.str();
+  // "%g" prints what an ostream prints under default flags.
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", value);
+  std::string s = buf;
   // Guarantee the literal reads as a double.
   if (s.find('.') == std::string::npos && s.find('e') == std::string::npos &&
       s.find("inf") == std::string::npos && s.find("nan") == std::string::npos) {

@@ -1,7 +1,6 @@
 #include "sched/sharded_scheduler.h"
 
 #include <chrono>
-#include <locale>
 #include <utility>
 
 #include "obs/event_log.h"
@@ -80,19 +79,6 @@ int64_t NowUs() {
       .count();
 }
 
-/// libstdc++'s ctype<char> facet fills its narrow()/widen() caches lazily
-/// and without synchronization; std::regex compilation hits them, so two
-/// workers compiling their first pattern concurrently race on the shared
-/// facet of the global locale. Touching every byte on the constructing
-/// thread before workers spawn makes all later accesses pure reads.
-void WarmCtypeCaches() {
-  const auto& facet = std::use_facet<std::ctype<char>>(std::locale());
-  for (int c = 0; c < 256; ++c) {
-    facet.narrow(static_cast<char>(c), '\0');
-    facet.widen(static_cast<char>(c));
-  }
-}
-
 }  // namespace
 
 ShardedScheduler::ShardedScheduler(
@@ -129,7 +115,6 @@ ShardedScheduler::ShardedScheduler(
       pipeline_options_.method_cache == nullptr) {
     pipeline_options_.method_cache = std::make_shared<service::MethodCache>();
   }
-  WarmCtypeCaches();
   workers_.reserve(static_cast<size_t>(jobs_));
   for (int i = 0; i < jobs_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });

@@ -2,79 +2,46 @@
 #define JFEED_SUPPORT_REGEX_CACHE_H_
 
 #include <cstdint>
-#include <regex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <vector>
 
+#include "support/clock_cache.h"
 #include "support/lite_regex.h"
 
 namespace jfeed {
 
-/// Caches compiled regex programs keyed by their pattern string. Pattern
-/// matching instantiates the same regex template once per candidate
-/// variable binding; submissions reuse a small vocabulary of variable
-/// names, so the hit rate is high and compilation cost disappears from the
-/// hot path.
-///
-/// Each entry is compiled for the LiteRegex Pike VM when the pattern fits
-/// its subset (every knowledge-base template does), falling back to
-/// std::regex otherwise. The distinction matters for allocator traffic:
-/// Search() through LiteRegex is allocation-free at steady state, while a
-/// single std::regex_search call allocates several times even on failure —
-/// and template checks are the innermost operation of Algorithm 1.
+/// Caches compiled LiteRegex programs keyed by their pattern string.
+/// Pattern matching instantiates the same regex template once per
+/// candidate variable binding; submissions reuse a small vocabulary of
+/// variable names, so the hit rate is high and compilation cost disappears
+/// from the hot path. LiteRegex is the only engine: a pattern outside its
+/// subset is invalid and never matches, so Search() stays allocation-free
+/// at steady state — template checks are the innermost operation of
+/// Algorithm 1.
 ///
 /// A single instance is not thread-safe; concurrent matching uses one cache
-/// per thread via ThreadLocal(). There is deliberately no process-wide
-/// shared instance any more: the old Global() singleton was mutable state
-/// shared across threads and blocked the parallel batch scheduler.
-///
-/// When the cache is full it evicts with a CLOCK-style second-chance scan
-/// instead of dropping everything: each hit sets an entry's reference bit,
-/// and the eviction hand only reclaims entries whose bit is clear, so the
-/// hot working set of a long batch survives overflow.
-///
-/// The pointer returned by Get() is valid until the next Get()/Search()
-/// call on the same cache (a later insert may evict the entry).
+/// per thread via ThreadLocal(). When the cache is full it evicts one entry
+/// by CLOCK second chance (ClockCache), so the hot working set of a long
+/// batch survives overflow.
 class RegexCache {
  public:
-  explicit RegexCache(size_t max_entries = 65536)
-      : max_entries_(max_entries == 0 ? 1 : max_entries) {}
+  explicit RegexCache(size_t max_entries = 65536) : entries_(max_entries) {}
 
   RegexCache(const RegexCache&) = delete;
   RegexCache& operator=(const RegexCache&) = delete;
 
-  /// True when some substring of `text` matches `pattern`
-  /// (std::regex_search semantics). Invalid patterns never match — the
-  /// same contract Get() expresses by returning nullptr.
+  /// True when some substring of `text` matches `pattern` (ECMAScript
+  /// regex_search semantics). Invalid patterns never match.
   bool Search(const std::string& pattern, std::string_view text) {
-    Entry& entry = Lookup(pattern);
-    if (entry.lite_ok) return entry.lite.Search(text, &scratch_);
-    EnsureStdRegex(entry, pattern);
-    if (!entry.re_valid) return false;
-    return std::regex_search(text.begin(), text.end(), entry.re);
+    const Entry& entry = Lookup(pattern);
+    return entry.valid && entry.program.Search(text, &scratch_);
   }
 
-  /// True when `pattern` is a valid regex (LiteRegex subset or ECMAScript).
-  bool Valid(const std::string& pattern) {
-    Entry& entry = Lookup(pattern);
-    if (entry.lite_ok) return true;
-    EnsureStdRegex(entry, pattern);
-    return entry.re_valid;
-  }
+  /// True when `pattern` compiles as LiteRegex (negative results are cached
+  /// too).
+  bool Valid(const std::string& pattern) { return Lookup(pattern).valid; }
 
-  /// Returns the compiled std::regex for `pattern`, or nullptr if the
-  /// pattern is not a valid ECMAScript regex (negative results are cached
-  /// too). Prefer Search(); this exists for callers that need the
-  /// std::regex object itself.
-  const std::regex* Get(const std::string& pattern) {
-    Entry& entry = Lookup(pattern);
-    EnsureStdRegex(entry, pattern);
-    return entry.re_valid ? &entry.re : nullptr;
-  }
-
-  size_t size() const { return cache_.size(); }
+  size_t size() const { return entries_.size(); }
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
   uint64_t evictions() const { return evictions_; }
@@ -89,70 +56,25 @@ class RegexCache {
 
  private:
   struct Entry {
-    LiteRegex lite;
-    std::regex re;
-    bool lite_ok = false;
-    bool re_compiled = false;
-    /// Validity of the pattern; only authoritative once re_compiled or
-    /// lite_ok (LiteRegex accepts only patterns that are valid ECMAScript).
-    bool re_valid = true;
-    bool referenced = false;  ///< Second-chance bit, set on every hit.
+    LiteRegex program;
+    bool valid = false;
   };
 
   Entry& Lookup(const std::string& pattern) {
-    auto it = cache_.find(pattern);
-    if (it != cache_.end()) {
-      it->second.referenced = true;
+    if (Entry* hit = entries_.Find(pattern)) {
       ++hits_;
-      return it->second;
+      return *hit;
     }
     ++misses_;
-    if (cache_.size() >= max_entries_) EvictOne();
-    Entry& entry = cache_[pattern];
-    clock_.push_back(pattern);
-    entry.lite_ok = LiteRegex::Compile(pattern, &entry.lite);
+    bool evicted = false;
+    Entry& entry = entries_.Add(pattern, &evicted);
+    if (evicted) ++evictions_;
+    entry.valid = LiteRegex::Compile(pattern, &entry.program);
     return entry;
   }
 
-  /// Lazily compiles the std::regex arm (skipped entirely for patterns the
-  /// Pike VM handles — the common case — unless a caller asks via Get()).
-  static void EnsureStdRegex(Entry& entry, const std::string& pattern) {
-    if (entry.re_compiled) return;
-    entry.re_compiled = true;
-    try {
-      entry.re = std::regex(pattern, std::regex::ECMAScript);
-      entry.re_valid = true;
-    } catch (const std::regex_error&) {
-      entry.re_valid = false;
-    }
-  }
-
-  /// Advances the clock hand, granting one more round to recently-hit
-  /// entries, and evicts the first entry found with a clear reference bit.
-  /// Bounded by two sweeps of the ring, after which the entry under the
-  /// hand is evicted unconditionally.
-  void EvictOne() {
-    for (size_t step = 0; step < 2 * clock_.size() + 1; ++step) {
-      if (hand_ >= clock_.size()) hand_ = 0;
-      auto it = cache_.find(clock_[hand_]);
-      if (it != cache_.end() && it->second.referenced) {
-        it->second.referenced = false;
-        ++hand_;
-        continue;
-      }
-      if (it != cache_.end()) cache_.erase(it);
-      clock_[hand_] = std::move(clock_.back());
-      clock_.pop_back();
-      ++evictions_;
-      return;
-    }
-  }
-
-  size_t max_entries_;
-  std::unordered_map<std::string, Entry> cache_;
-  std::vector<std::string> clock_;  ///< Keys in eviction-scan order.
-  size_t hand_ = 0;                 ///< Clock hand into `clock_`.
-  LiteRegexScratch scratch_;        ///< Reused by every Search() call.
+  ClockCache<Entry> entries_;
+  LiteRegexScratch scratch_;  ///< Reused by every Search() call.
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;

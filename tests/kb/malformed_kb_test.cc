@@ -56,6 +56,16 @@ TEST(MalformedKbTest, ContainmentWithoutExprIsRejected) {
             "no 'expr:' line");
 }
 
+TEST(MalformedKbTest, TemplateOutsideTheLiteRegexSubsetIsRejected) {
+  // Bounded repetition is valid ECMAScript but outside LiteRegex, the only
+  // engine templates run on, so the spec fails to load rather than grade
+  // with a template that cannot run.
+  EXPECT_EQ(Assignment1Error("expr: c \\+= s\\[x\\]$",
+                             "expr: c \\+= s\\[x\\]{1,2}$"),
+            "<input>:11: expression template does not compile as LiteRegex: "
+            "c \\+= s\\[x\\]{1,2}$|c = c \\+ s\\[x\\]$");
+}
+
 TEST(MalformedKbTest, ConstraintOnAPatternTheMethodDoesNotUseIsRejected) {
   EXPECT_EQ(Assignment1Error("    use cond-accum-add 1\n", ""),
             "<input>:9: constraint 'odd-access-is-summed' names pattern "
