@@ -1,37 +1,14 @@
 #include "obs/event_log.h"
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "obs/metrics.h"
+#include "support/json.h"
 
 namespace jfeed::obs {
 
 namespace {
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 /// Renders a double with enough precision to round-trip millisecond
 /// timings ("%.6g" keeps 1234.56 exact and avoids 17-digit noise).
@@ -96,68 +73,6 @@ std::string ToJson(const WideEvent& e) {
 
 namespace {
 
-// --- Flat-object JSON scanner for FromJson ----------------------------------
-//
-// WideEvent NDJSON is a flat object of string / number / bool values, so a
-// full JSON parser would be overkill; this scanner handles exactly that
-// grammar (and skips unknown values of those shapes, for forward
-// compatibility).
-
-void SkipSpace(const std::string& s, size_t* pos) {
-  while (*pos < s.size() &&
-         std::isspace(static_cast<unsigned char>(s[*pos]))) {
-    ++*pos;
-  }
-}
-
-bool ParseString(const std::string& s, size_t* pos, std::string* out) {
-  if (*pos >= s.size() || s[*pos] != '"') return false;
-  ++*pos;
-  out->clear();
-  while (*pos < s.size()) {
-    char c = s[*pos];
-    if (c == '"') {
-      ++*pos;
-      return true;
-    }
-    if (c != '\\') {
-      out->push_back(c);
-      ++*pos;
-      continue;
-    }
-    if (++*pos >= s.size()) return false;
-    char esc = s[(*pos)++];
-    switch (esc) {
-      case '"': out->push_back('"'); break;
-      case '\\': out->push_back('\\'); break;
-      case '/': out->push_back('/'); break;
-      case 'b': out->push_back('\b'); break;
-      case 'f': out->push_back('\f'); break;
-      case 'n': out->push_back('\n'); break;
-      case 'r': out->push_back('\r'); break;
-      case 't': out->push_back('\t'); break;
-      case 'u': {
-        if (*pos + 4 > s.size()) return false;
-        long cp = std::strtol(s.substr(*pos, 4).c_str(), nullptr, 16);
-        *pos += 4;
-        // ToJson only \u-escapes control bytes (< 0x20), so one UTF-8 byte
-        // suffices for everything the recorder itself writes; larger code
-        // points from foreign producers are preserved best-effort.
-        if (cp < 0x80) {
-          out->push_back(static_cast<char>(cp));
-        } else {
-          out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-          out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-        }
-        break;
-      }
-      default:
-        return false;
-    }
-  }
-  return false;
-}
-
 bool ParseNumber(const std::string& s, size_t* pos, double* out) {
   const char* start = s.c_str() + *pos;
   char* end = nullptr;
@@ -170,35 +85,39 @@ bool ParseNumber(const std::string& s, size_t* pos, double* out) {
 
 }  // namespace
 
+// WideEvent NDJSON is a flat object of string / number / bool values, so
+// FromJson scans exactly that grammar, skipping unknown values of those
+// shapes for forward compatibility.
 bool FromJson(const std::string& json, WideEvent* event) {
   size_t pos = 0;
-  SkipSpace(json, &pos);
+  SkipJsonSpace(json, &pos);
   if (pos >= json.size() || json[pos] != '{') return false;
   ++pos;
   *event = WideEvent();
   while (true) {
-    SkipSpace(json, &pos);
+    SkipJsonSpace(json, &pos);
     if (pos < json.size() && json[pos] == '}') return true;
-    std::string key;
-    if (!ParseString(json, &pos, &key)) return false;
-    SkipSpace(json, &pos);
+    auto parsed_key = ParseJsonString(json, &pos);
+    if (!parsed_key.ok()) return false;
+    const std::string& key = *parsed_key;
+    SkipJsonSpace(json, &pos);
     if (pos >= json.size() || json[pos] != ':') return false;
     ++pos;
-    SkipSpace(json, &pos);
+    SkipJsonSpace(json, &pos);
     if (pos >= json.size()) return false;
 
     if (json[pos] == '"') {
-      std::string value;
-      if (!ParseString(json, &pos, &value)) return false;
-      if (key == "id") event->submission_id = value;
-      else if (key == "trace_id") event->trace_id = value;
-      else if (key == "span_id") event->span_id = value;
-      else if (key == "assignment") event->assignment = value;
-      else if (key == "verdict") event->verdict = value;
-      else if (key == "tier") event->tier = value;
-      else if (key == "failure_class") event->failure_class = value;
-      else if (key == "cache") event->cache = value;
-      else if (key == "diagnostic") event->diagnostic = value;
+      auto value = ParseJsonString(json, &pos);
+      if (!value.ok()) return false;
+      if (key == "id") event->submission_id = *value;
+      else if (key == "trace_id") event->trace_id = *value;
+      else if (key == "span_id") event->span_id = *value;
+      else if (key == "assignment") event->assignment = *value;
+      else if (key == "verdict") event->verdict = *value;
+      else if (key == "tier") event->tier = *value;
+      else if (key == "failure_class") event->failure_class = *value;
+      else if (key == "cache") event->cache = *value;
+      else if (key == "diagnostic") event->diagnostic = *value;
     } else if (json.compare(pos, 4, "true") == 0) {
       pos += 4;
       if (key == "degraded") event->degraded = true;
@@ -245,7 +164,7 @@ bool FromJson(const std::string& json, WideEvent* event) {
         event->interp_steps_failed = static_cast<int64_t>(value);
       }
     }
-    SkipSpace(json, &pos);
+    SkipJsonSpace(json, &pos);
     if (pos < json.size() && json[pos] == ',') {
       ++pos;
       continue;

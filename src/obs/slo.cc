@@ -3,30 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 
 #include "obs/metrics.h"
+#include "support/json.h"
 
 namespace jfeed::obs {
 namespace {
-
-void AppendJsonEscaped(const std::string& s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
 
 /// Budget fraction in [1e-6, 1]: the share of events allowed to be bad.
 double BudgetFraction(const SloPolicy& policy) {
@@ -91,9 +73,9 @@ void AppendPolicyJson(const SloPolicy& policy, std::string* out) {
 
 void AppendAssignmentJson(const AssignmentSlo& slo, bool with_exemplars,
                           std::string* out) {
-  *out += "{\"assignment\":\"";
-  AppendJsonEscaped(slo.assignment, out);
-  *out += "\",\"events_total\":";
+  *out += "{\"assignment\":";
+  AppendJsonString(slo.assignment, out);
+  *out += ",\"events_total\":";
   *out += std::to_string(slo.events_total);
   *out += ",\"good_total\":";
   *out += std::to_string(slo.good_total);
@@ -139,9 +121,9 @@ void AppendAssignmentJson(const AssignmentSlo& slo, bool with_exemplars,
       *out += std::to_string(Histogram::BucketBound(exemplars[i].first));
       *out += ",\"latency_us\":";
       *out += std::to_string(exemplars[i].second.value);
-      *out += ",\"trace_id\":\"";
-      AppendJsonEscaped(exemplars[i].second.trace_id, out);
-      *out += "\"}";
+      *out += ",\"trace_id\":";
+      AppendJsonString(exemplars[i].second.trace_id, out);
+      *out += "}";
     }
     *out += "]";
   }
@@ -173,13 +155,13 @@ bool FindNumberField(const std::string& obj, const std::string& key,
 
 bool FindStringField(const std::string& obj, const std::string& key,
                      std::string* out) {
-  std::string needle = "\"" + key + "\":\"";
+  std::string needle = "\"" + key + "\":";
   size_t pos = obj.find(needle);
   if (pos == std::string::npos) return false;
   pos += needle.size();
-  size_t end = obj.find('"', pos);
-  if (end == std::string::npos) return false;
-  *out = obj.substr(pos, end - pos);
+  auto value = ParseJsonString(obj, &pos);
+  if (!value.ok()) return false;
+  *out = std::move(value).value();
   return true;
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "support/json.h"
+
 namespace jfeed::obs {
 
 namespace {
@@ -10,25 +12,6 @@ namespace {
 /// The thread's innermost live span — the implicit parent of the next Span
 /// constructed without an explicit one. Maintained by Span::Begin/End.
 thread_local const Span* g_current_span = nullptr;
-
-void AppendEscaped(const char* s, std::string* out) {
-  for (; *s != '\0'; ++s) {
-    char c = *s;
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
 
 }  // namespace
 
@@ -142,9 +125,9 @@ std::string Tracer::ExportChromeJson(int pid,
   if (!process_name.empty()) {
     out += "\n{\"ph\":\"M\",\"pid\":";
     out += std::to_string(pid);
-    out += ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"";
-    AppendEscaped(process_name.c_str(), &out);
-    out += "\"}}";
+    out += ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":";
+    AppendJsonString(process_name, &out);
+    out += "}}";
     first = false;
   }
   for (const SpanRecord& r : records) {
@@ -154,11 +137,11 @@ std::string Tracer::ExportChromeJson(int pid,
     out += std::to_string(pid);
     out += ",\"tid\":";
     out += std::to_string(r.tid);
-    out += ",\"name\":\"";
-    AppendEscaped(r.name, &out);
+    out += ",\"name\":";
+    AppendJsonString(r.name, &out);
     // ts/dur in microseconds (the unit the trace_event format mandates),
     // unix-aligned so exports from separate processes share one timeline.
-    std::snprintf(buf, sizeof(buf), "\",\"ts\":%.3f,\"dur\":%.3f",
+    std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f,\"dur\":%.3f",
                   static_cast<double>(unix_epoch_us_) +
                       static_cast<double>(r.start_ns) / 1e3,
                   static_cast<double>(r.end_ns - r.start_ns) / 1e3);
@@ -173,9 +156,8 @@ std::string Tracer::ExportChromeJson(int pid,
       out += "\"";
     }
     if (!r.detail.empty()) {
-      out += ",\"detail\":\"";
-      AppendEscaped(r.detail.c_str(), &out);
-      out += "\"";
+      out += ",\"detail\":";
+      AppendJsonString(r.detail, &out);
     }
     out += "}}";
   }

@@ -1,121 +1,12 @@
 #include "sched/batch_io.h"
 
-#include <cctype>
-#include <cstdint>
-#include <cstdio>
+#include "support/json.h"
 
 namespace jfeed::sched {
 
-namespace {
-
-void SkipSpace(const std::string& s, size_t* pos) {
-  while (*pos < s.size() &&
-         std::isspace(static_cast<unsigned char>(s[*pos]))) {
-    ++*pos;
-  }
-}
-
-int HexDigit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-/// Parses the 4 hex digits of a \uXXXX escape at *pos; -1 on malformed.
-int32_t ParseHex4(const std::string& s, size_t* pos) {
-  if (*pos + 4 > s.size()) return -1;
-  int32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    int digit = HexDigit(s[*pos + i]);
-    if (digit < 0) return -1;
-    value = value * 16 + digit;
-  }
-  *pos += 4;
-  return value;
-}
-
-void AppendUtf8(int32_t cp, std::string* out) {
-  if (cp < 0x80) {
-    out->push_back(static_cast<char>(cp));
-  } else if (cp < 0x800) {
-    out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  } else if (cp < 0x10000) {
-    out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  } else {
-    out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  }
-}
-
-/// Parses a JSON string starting at the opening quote s[*pos].
-Result<std::string> ParseJsonString(const std::string& s, size_t* pos) {
-  if (*pos >= s.size() || s[*pos] != '"') {
-    return Status::InvalidArgument("expected '\"' at offset " +
-                                   std::to_string(*pos));
-  }
-  ++*pos;
-  std::string out;
-  while (*pos < s.size()) {
-    char c = s[*pos];
-    if (c == '"') {
-      ++*pos;
-      return out;
-    }
-    if (c != '\\') {
-      out.push_back(c);
-      ++*pos;
-      continue;
-    }
-    if (++*pos >= s.size()) break;
-    char esc = s[(*pos)++];
-    switch (esc) {
-      case '"': out.push_back('"'); break;
-      case '\\': out.push_back('\\'); break;
-      case '/': out.push_back('/'); break;
-      case 'b': out.push_back('\b'); break;
-      case 'f': out.push_back('\f'); break;
-      case 'n': out.push_back('\n'); break;
-      case 'r': out.push_back('\r'); break;
-      case 't': out.push_back('\t'); break;
-      case 'u': {
-        int32_t cp = ParseHex4(s, pos);
-        if (cp < 0) {
-          return Status::InvalidArgument("malformed \\u escape");
-        }
-        // Combine a surrogate pair when a low surrogate follows.
-        if (cp >= 0xD800 && cp <= 0xDBFF && *pos + 1 < s.size() &&
-            s[*pos] == '\\' && s[*pos + 1] == 'u') {
-          size_t rewind = *pos;
-          *pos += 2;
-          int32_t low = ParseHex4(s, pos);
-          if (low >= 0xDC00 && low <= 0xDFFF) {
-            cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-          } else {
-            *pos = rewind;  // Unpaired; emit the high surrogate's bytes.
-          }
-        }
-        AppendUtf8(cp, &out);
-        break;
-      }
-      default:
-        return Status::InvalidArgument(std::string("unknown escape '\\") +
-                                       esc + "'");
-    }
-  }
-  return Status::InvalidArgument("unterminated JSON string");
-}
-
-}  // namespace
-
 Result<BatchLine> ParseBatchLine(const std::string& line) {
   size_t pos = 0;
-  SkipSpace(line, &pos);
+  SkipJsonSpace(line, &pos);
   if (pos >= line.size()) {
     return Status::InvalidArgument("blank line");
   }
@@ -123,7 +14,7 @@ Result<BatchLine> ParseBatchLine(const std::string& line) {
   if (line[pos] == '"') {
     // Bare-string form: the whole line is the source.
     JFEED_ASSIGN_OR_RETURN(out.source, ParseJsonString(line, &pos));
-    SkipSpace(line, &pos);
+    SkipJsonSpace(line, &pos);
     if (pos != line.size()) {
       return Status::InvalidArgument("trailing data after JSON string");
     }
@@ -138,7 +29,7 @@ Result<BatchLine> ParseBatchLine(const std::string& line) {
   bool have_source = false;
   bool first = true;
   for (;;) {
-    SkipSpace(line, &pos);
+    SkipJsonSpace(line, &pos);
     if (pos < line.size() && line[pos] == '}') {
       ++pos;
       break;
@@ -148,18 +39,18 @@ Result<BatchLine> ParseBatchLine(const std::string& line) {
         return Status::InvalidArgument("expected ',' or '}' in object");
       }
       ++pos;
-      SkipSpace(line, &pos);
+      SkipJsonSpace(line, &pos);
     }
     first = false;
     std::string key;
     JFEED_ASSIGN_OR_RETURN(key, ParseJsonString(line, &pos));
-    SkipSpace(line, &pos);
+    SkipJsonSpace(line, &pos);
     if (pos >= line.size() || line[pos] != ':') {
       return Status::InvalidArgument("expected ':' after key \"" + key +
                                      "\"");
     }
     ++pos;
-    SkipSpace(line, &pos);
+    SkipJsonSpace(line, &pos);
     std::string value;
     JFEED_ASSIGN_OR_RETURN(value, ParseJsonString(line, &pos));
     if (key == "source") {
@@ -172,7 +63,7 @@ Result<BatchLine> ParseBatchLine(const std::string& line) {
     }
     // Unknown string-valued keys are ignored.
   }
-  SkipSpace(line, &pos);
+  SkipJsonSpace(line, &pos);
   if (pos != line.size()) {
     return Status::InvalidArgument("trailing data after JSON object");
   }
@@ -184,26 +75,16 @@ Result<BatchLine> ParseBatchLine(const std::string& line) {
 
 namespace {
 
-std::string JsonQuote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
+/// Opens an output line with its id (null when the input line had none)
+/// and its index.
+std::string LineHead(const std::string& id, size_t index) {
+  std::string out = "{\"id\":";
+  if (id.empty()) {
+    out += "null";
+  } else {
+    AppendJsonString(id, &out);
   }
-  out.push_back('"');
+  out += ",\"index\":" + std::to_string(index);
   return out;
 }
 
@@ -211,44 +92,41 @@ std::string JsonQuote(const std::string& s) {
 
 std::string BatchOutcomeToJson(const std::string& id, size_t index,
                                const service::GradingOutcome& outcome) {
-  std::string body = service::OutcomeToJson(outcome);
   // Splice id/index into the outcome object: {"id":...,"index":N,<rest>.
-  std::string out = "{\"id\":";
-  out += id.empty() ? "null" : JsonQuote(id);
-  out += ",\"index\":" + std::to_string(index) + ",";
-  out += body.substr(1);
+  std::string out = LineHead(id, index) + ",";
+  out += service::OutcomeToJson(outcome).substr(1);
   return out;
 }
 
 std::string BatchOutcomeToJson(const std::string& id, size_t index,
                                const std::string& assignment,
                                const service::GradingOutcome& outcome) {
-  std::string body = service::OutcomeToJson(outcome);
-  std::string out = "{\"id\":";
-  out += id.empty() ? "null" : JsonQuote(id);
-  out += ",\"index\":" + std::to_string(index);
-  out += ",\"assignment\":" + JsonQuote(assignment) + ",";
-  out += body.substr(1);
+  std::string out = LineHead(id, index) + ",\"assignment\":";
+  AppendJsonString(assignment, &out);
+  out += ",";
+  out += service::OutcomeToJson(outcome).substr(1);
   return out;
 }
 
 std::string BatchErrorToJson(size_t index, const Status& error) {
-  return "{\"id\":null,\"index\":" + std::to_string(index) +
-         ",\"error\":" + JsonQuote(error.ToString()) + "}";
+  std::string out = LineHead("", index) + ",\"error\":";
+  AppendJsonString(error.ToString(), &out);
+  out += "}";
+  return out;
 }
 
 std::string BatchRejectToJson(const std::string& id, size_t index,
                               const std::string& assignment, int code,
                               int retry_after_s, const Status& error) {
-  std::string out = "{\"id\":";
-  out += id.empty() ? "null" : JsonQuote(id);
-  out += ",\"index\":" + std::to_string(index);
-  out += ",\"assignment\":" + JsonQuote(assignment);
+  std::string out = LineHead(id, index) + ",\"assignment\":";
+  AppendJsonString(assignment, &out);
   out += ",\"code\":" + std::to_string(code);
   if (retry_after_s > 0) {
     out += ",\"retry_after_s\":" + std::to_string(retry_after_s);
   }
-  out += ",\"error\":" + JsonQuote(error.ToString()) + "}";
+  out += ",\"error\":";
+  AppendJsonString(error.ToString(), &out);
+  out += "}";
   return out;
 }
 

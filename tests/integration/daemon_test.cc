@@ -16,6 +16,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/daemon.h"
+#include "support/json.h"
 #include "tests/testutil/http_client.h"
 
 namespace jfeed {
@@ -23,24 +24,10 @@ namespace {
 
 using jfeed::testutil::HttpFetch;
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
 std::string GradeLine(const std::string& id, const std::string& source) {
-  return "{\"id\":\"" + id + "\",\"source\":\"" + JsonEscape(source) +
-         "\"}\n";
+  std::string line = "{\"id\":\"" + id + "\",\"source\":";
+  AppendJsonString(source, &line);
+  return line + "}\n";
 }
 
 class DaemonTest : public ::testing::Test {

@@ -25,6 +25,7 @@
 #include "obs/metrics.h"
 #include "service/daemon.h"
 #include "support/fault.h"
+#include "support/json.h"
 
 namespace jfeed {
 namespace {
@@ -79,18 +80,9 @@ class FleetChaosTest : public ::testing::Test {
 
   std::string GradeBody(const std::string& id) {
     const auto& assignment = kb::KnowledgeBase::Get().assignment("assignment1");
-    std::string source = assignment.Reference();
-    std::string escaped;
-    for (char c : source) {
-      switch (c) {
-        case '"': escaped += "\\\""; break;
-        case '\\': escaped += "\\\\"; break;
-        case '\n': escaped += "\\n"; break;
-        case '\t': escaped += "\\t"; break;
-        default: escaped.push_back(c);
-      }
-    }
-    return "{\"id\":\"" + id + "\",\"source\":\"" + escaped + "\"}\n";
+    std::string body = "{\"id\":\"" + id + "\",\"source\":";
+    AppendJsonString(assignment.Reference(), &body);
+    return body + "}\n";
   }
 
   std::vector<std::unique_ptr<service::GradingDaemon>> workers_;

@@ -16,6 +16,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/daemon.h"
+#include "support/json.h"
 #include "tests/testutil/http_client.h"
 
 namespace jfeed {
@@ -26,25 +27,12 @@ using jfeed::testutil::HttpFetch;
 constexpr const char* kTenantA = "assignment1";
 constexpr const char* kTenantB = "mitx-polynomials";
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
 std::string RoutedLine(const std::string& assignment, const std::string& id,
                        const std::string& source) {
-  return "{\"id\":\"" + id + "\",\"assignment\":\"" + assignment +
-         "\",\"source\":\"" + JsonEscape(source) + "\"}\n";
+  std::string line = "{\"id\":\"" + id + "\",\"assignment\":\"" +
+                     assignment + "\",\"source\":";
+  AppendJsonString(source, &line);
+  return line + "}\n";
 }
 
 std::vector<std::string> SplitLines(const std::string& body) {
@@ -251,8 +239,9 @@ TEST_F(MultiTenantDaemonTest, SingleTenantModeKeepsUnroutedLinesWorking) {
   options.jobs = 2;
   StartDaemon(std::move(options));
 
-  std::string body = "{\"id\":\"legacy-1\",\"source\":\"" +
-                     JsonEscape(Tenant(kTenantA).Reference()) + "\"}\n";
+  std::string body = "{\"id\":\"legacy-1\",\"source\":";
+  AppendJsonString(Tenant(kTenantA).Reference(), &body);
+  body += "}\n";
   auto graded = HttpFetch(daemon_->port(), "POST", "/grade", body);
   ASSERT_TRUE(graded.ok);
   EXPECT_EQ(graded.status, 200);

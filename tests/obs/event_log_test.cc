@@ -156,6 +156,14 @@ class EventLogTest : public ::testing::Test {
   }
 };
 
+TEST_F(EventLogTest, FromJsonDecodesNonAsciiEscapesAsUtf8) {
+  // ToJson copies UTF-8 bytes as they are, but other producers write \u
+  // escapes; those decode exactly as they do in a POST /grade line.
+  WideEvent e;
+  ASSERT_TRUE(FromJson("{\"diagnostic\":\"\\u20ac \\ud83d\\ude00\"}", &e));
+  EXPECT_EQ(e.diagnostic, "\xE2\x82\xAC \xF0\x9F\x98\x80");
+}
+
 TEST_F(EventLogTest, AppendStampsDenseSequenceNumbers) {
   WideEvent e;
   e.verdict = "correct";

@@ -55,6 +55,7 @@
 #include "fleet/http_client.h"
 #include "kb/assignments.h"
 #include "obs/trace_context.h"
+#include "support/json.h"
 #include "testing/traffic.h"
 
 namespace {
@@ -284,18 +285,9 @@ int main(int argc, char** argv) {
   bodies.reserve(schedule.size());
   for (const auto& event : schedule) {
     std::string body = "{\"id\":\"" + event.id + "\",\"assignment\":\"" +
-                       event.assignment + "\",\"source\":\"";
-    for (char c : event.source) {
-      switch (c) {
-        case '"': body += "\\\""; break;
-        case '\\': body += "\\\\"; break;
-        case '\n': body += "\\n"; break;
-        case '\r': body += "\\r"; break;
-        case '\t': body += "\\t"; break;
-        default: body.push_back(c);
-      }
-    }
-    body += "\"}\n";
+                       event.assignment + "\",\"source\":";
+    jfeed::AppendJsonString(event.source, &body);
+    body += "}\n";
     bodies.push_back(std::move(body));
   }
 
