@@ -157,7 +157,6 @@ Method Method::Clone() const {
   out.params = params;
   out.line = line;
   out.fingerprint = fingerprint;
-  out.norm_source = norm_source;
   if (body) out.body = body->Clone();
   return out;
 }

@@ -288,10 +288,6 @@ struct Method {
   /// the parser; 0 for hand-built methods that never saw tokens. Keyed with
   /// the assignment id, this is the method-cache address (DESIGN.md §3d).
   uint64_t fingerprint = 0;
-  /// Space-joined spelling of the same token slice; re-parsing it yields an
-  /// AST equivalent to this method, which is how the method cache rebuilds
-  /// a cached method in its own pinned arena. Empty for hand-built methods.
-  std::string norm_source;
 
   Method Clone() const;
 

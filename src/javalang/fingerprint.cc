@@ -44,45 +44,4 @@ uint64_t FingerprintRawBytes(std::string_view bytes) {
   return Mix(FoldBytes(0x6a66656564726177ull /* "jfeedraw" */, bytes));
 }
 
-namespace {
-
-/// Appends one token's canonical source spelling. Token::text is already
-/// the source spelling for every kind except kCharLiteral, whose text is
-/// the bare decoded character — re-quote (and re-escape) it so the result
-/// lexes back to the same token.
-void AppendSpelling(const Token& token, std::string* out) {
-  if (token.kind != TokenKind::kCharLiteral) {
-    out->append(token.text);
-    return;
-  }
-  char c = token.text.empty() ? '\0' : token.text[0];
-  out->push_back('\'');
-  switch (c) {
-    case '\n': out->append("\\n"); break;
-    case '\t': out->append("\\t"); break;
-    case '\\': out->append("\\\\"); break;
-    case '\'': out->append("\\'"); break;
-    case '\0': out->append("\\0"); break;
-    default: out->push_back(c); break;
-  }
-  out->push_back('\'');
-}
-
-}  // namespace
-
-std::string NormalizeTokenRange(const std::vector<Token>& tokens, size_t begin,
-                                size_t end) {
-  if (end > tokens.size()) end = tokens.size();
-  if (begin >= end) return std::string();
-  size_t bytes = 0;
-  for (size_t i = begin; i < end; ++i) bytes += tokens[i].text.size() + 4;
-  std::string out;
-  out.reserve(bytes);
-  for (size_t i = begin; i < end; ++i) {
-    if (i > begin) out.push_back(' ');
-    AppendSpelling(tokens[i], &out);
-  }
-  return out;
-}
-
 }  // namespace jfeed::java

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -30,14 +29,6 @@ uint64_t FingerprintTokenStream(const std::vector<Token>& tokens);
 /// domain tag, so unlexable garbage still dedups byte-identical copies and
 /// can never collide with a token-stream hash.
 uint64_t FingerprintRawBytes(std::string_view bytes);
-
-/// Canonical source text of the token slice [begin, end): the tokens'
-/// spellings joined by single spaces. Re-lexing the result yields a
-/// kind/text-identical stream (punctuation tokens carry their spelling),
-/// which is what lets a method cache rebuild a method's AST from its
-/// normalized text alone, away from the submission it came from.
-std::string NormalizeTokenRange(const std::vector<Token>& tokens, size_t begin,
-                                size_t end);
 
 }  // namespace jfeed::java
 

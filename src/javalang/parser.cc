@@ -165,7 +165,6 @@ class Parser {
     JFEED_RETURN_IF_ERROR(Expect(TokenKind::kRParen).status());
     JFEED_ASSIGN_OR_RETURN(method.body, ParseBlock());
     method.fingerprint = FingerprintTokenRange(tokens_, first, pos_);
-    method.norm_source = NormalizeTokenRange(tokens_, first, pos_);
     return method;
   }
 

@@ -18,10 +18,9 @@ Method ParseOne(const std::string& source) {
   return std::move(unit->methods[0]);
 }
 
-TEST(FingerprintTest, ParserStampsFingerprintAndNormSource) {
+TEST(FingerprintTest, ParserStampsFingerprint) {
   Method m = ParseOne("int f(int a) { return a + 1; }");
   EXPECT_NE(m.fingerprint, 0u);
-  EXPECT_FALSE(m.norm_source.empty());
 }
 
 TEST(FingerprintTest, WhitespaceAndCommentsDoNotChangeFingerprint) {
@@ -32,7 +31,6 @@ TEST(FingerprintTest, WhitespaceAndCommentsDoNotChangeFingerprint) {
       "  return a + 1;\n"
       "}\n");
   EXPECT_EQ(a.fingerprint, b.fingerprint);
-  EXPECT_EQ(a.norm_source, b.norm_source);
 }
 
 TEST(FingerprintTest, ModifiersDoNotChangeFingerprint) {
@@ -41,7 +39,6 @@ TEST(FingerprintTest, ModifiersDoNotChangeFingerprint) {
   Method plain = ParseOne("int f() { return 1; }");
   Method modified = ParseOne("public static int f() { return 1; }");
   EXPECT_EQ(plain.fingerprint, modified.fingerprint);
-  EXPECT_EQ(plain.norm_source, modified.norm_source);
 }
 
 TEST(FingerprintTest, BodyEditChangesFingerprint) {
@@ -52,48 +49,10 @@ TEST(FingerprintTest, BodyEditChangesFingerprint) {
   EXPECT_NE(a.fingerprint, c.fingerprint);
 }
 
-TEST(FingerprintTest, NormSourceReparsesToSameFingerprint) {
-  // The cache rebuilds a method's AST from norm_source; if re-lexing it
-  // shifted the fingerprint, an entry would never match its own key.
-  const char* sources[] = {
-      "int f(int a) { return a + 1; }",
-      "int f(int n) { int s = 0; for (int i = 0; i < n; i = i + 1) "
-      "{ s = s + i; } return s; }",
-      "boolean g(String s) { return s.equals(\"a \\\"quoted\\\" word\"); }",
-  };
-  for (const char* source : sources) {
-    Method original = ParseOne(source);
-    Method reparsed = ParseOne(original.norm_source);
-    EXPECT_EQ(original.fingerprint, reparsed.fingerprint) << source;
-    EXPECT_EQ(original.norm_source, reparsed.norm_source) << source;
-  }
-}
-
-TEST(FingerprintTest, CharLiteralsSurviveNormalization) {
-  // Char-literal tokens carry the bare decoded character as text; the
-  // normalizer must re-quote and re-escape them or norm_source would not
-  // re-lex (a bare '\n' would split the line).
-  const char* sources[] = {
-      "char f() { return 'a'; }",
-      "char f() { return '\\n'; }",
-      "char f() { return '\\t'; }",
-      "char f() { return '\\\\'; }",
-      "char f() { return '\\''; }",
-      "boolean g(char c) { return c == ' '; }",
-  };
-  for (const char* source : sources) {
-    Method original = ParseOne(source);
-    Method reparsed = ParseOne(original.norm_source);
-    EXPECT_EQ(original.fingerprint, reparsed.fingerprint) << source;
-    EXPECT_EQ(original.norm_source, reparsed.norm_source) << source;
-  }
-}
-
 TEST(FingerprintTest, ClonePreservesFingerprint) {
   Method m = ParseOne("int f(int a) { return a * 3; }");
   Method copy = m.Clone();
   EXPECT_EQ(copy.fingerprint, m.fingerprint);
-  EXPECT_EQ(copy.norm_source, m.norm_source);
 }
 
 TEST(FingerprintTest, TokenStreamFingerprintIsWhitespaceInvariant) {
@@ -126,8 +85,6 @@ TEST(FingerprintTest, SubsliceFingerprintMatchesMethodBoundary) {
   Method g_alone = ParseOne("int g(int b) { return b * 2; }");
   EXPECT_EQ(unit->methods[0].fingerprint, f_alone.fingerprint);
   EXPECT_EQ(unit->methods[1].fingerprint, g_alone.fingerprint);
-  EXPECT_EQ(unit->methods[0].norm_source, f_alone.norm_source);
-  EXPECT_EQ(unit->methods[1].norm_source, g_alone.norm_source);
 }
 
 }  // namespace
