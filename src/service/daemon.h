@@ -83,7 +83,8 @@ struct DaemonOptions {
   size_t event_capacity = obs::EventLog::kDefaultCapacity;
   /// Tracer ring capacity per thread (0 = leave the tracer disabled).
   size_t trace_ring_capacity = 1u << 12;
-  /// Per-submission pipeline tuning (budgets, match engine).
+  /// Per-submission pipeline tuning (functional budget, execution guards,
+  /// match options).
   PipelineOptions pipeline;
   /// HTTP connection workers.
   int http_workers = 4;

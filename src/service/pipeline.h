@@ -62,16 +62,10 @@ const char* VerdictName(Verdict verdict);
 /// Maps a Status to the failure taxonomy (used for stage failures).
 FailureClass ClassifyFailure(const Status& status);
 
-/// Wall-clock budgets per stage, in milliseconds. The functional stage is
-/// enforced pre-emptively (the interpreter checks its deadline while
-/// running); parse/EPDG/match budgets are soft deadlines checked when the
-/// stage returns — those stages are bounded by construction (linear scans
-/// and capped backtracking), so a soft check is enough to classify and
-/// report overruns.
+/// Wall-clock budget of the functional stage, in milliseconds, enforced
+/// pre-emptively (the interpreter checks its deadline while running). The
+/// parse, EPDG and match stages have fixed soft budgets in pipeline.cc.
 struct StageBudgets {
-  int64_t parse_ms = 2'000;
-  int64_t epdg_ms = 2'000;
-  int64_t match_ms = 5'000;
   int64_t functional_ms = 10'000;
 };
 
