@@ -1,5 +1,6 @@
 #include "support/lite_regex.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace jfeed {
@@ -7,6 +8,8 @@ namespace jfeed {
 namespace {
 
 constexpr size_t kMaxProgram = 4096;
+/// Instructions name their class in one byte.
+constexpr size_t kMaxClasses = 256;
 
 bool IsWordByte(unsigned char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
@@ -48,8 +51,9 @@ void Negate(std::array<uint32_t, 8>* bits) {
 /// Recursive-descent Thompson construction. The pattern is parsed and
 /// emitted in one pass; alternation and quantifiers use the classic
 /// patch-list technique (emit placeholder jumps, fill targets once known).
-/// Compilation may allocate — it runs once per distinct regex text and is
-/// cached; only Search is on the hot path.
+/// The same pass records each top-level alternative's longest required
+/// literal (see TrackLiteral). Compilation may allocate — it runs once per
+/// distinct regex text and is cached; only Search is on the hot path.
 class LiteRegex::Compiler {
  public:
   Compiler(std::string_view pattern, LiteRegex* out)
@@ -60,6 +64,11 @@ class LiteRegex::Compiler {
     if (!ParseAlternation(&start_unused)) return false;
     if (pos_ != p_.size()) return false;  // Trailing ')' etc.
     Emit({Op::kMatch});
+    std::vector<std::string>& literals = out_->literals_;
+    if (std::any_of(literals.begin(), literals.end(),
+                    [](const std::string& lit) { return lit.empty(); })) {
+      literals.clear();
+    }
     return out_->prog_.size() <= kMaxProgram;
   }
 
@@ -126,8 +135,16 @@ class LiteRegex::Compiler {
     int32_t slot = Emit({Op::kJmp});
     At(slot).x = slot + 1;
     *reserved_slot = slot;
+    if (depth_ == 0) {
+      run_.clear();
+      longest_.clear();
+    }
     while (!Eof() && Peek() != '|' && Peek() != ')') {
       if (!ParseRepeat()) return false;
+    }
+    if (depth_ == 0) {
+      EndRun();
+      out_->literals_.push_back(longest_);
     }
     return true;
   }
@@ -136,11 +153,14 @@ class LiteRegex::Compiler {
   bool ParseRepeat() {
     int32_t atom_start = Here();
     if (!ParseAtom()) return false;
-    if (Eof()) return true;
-    char q = Peek();
-    if (q != '*' && q != '+' && q != '?') return true;
-    ++pos_;
-    if (!Eof() && Peek() == '?') ++pos_;  // Lazy: same boolean language.
+    char q = 0;
+    if (!Eof() && (Peek() == '*' || Peek() == '+' || Peek() == '?')) {
+      q = Peek();
+      ++pos_;
+      if (!Eof() && Peek() == '?') ++pos_;  // Lazy: same boolean language.
+    }
+    if (depth_ == 0) TrackLiteral(atom_start, q);
+    if (q == 0) return true;
     if (q == '*') {
       // L1: split(L2, L3); L2: atom; jmp L1; L3:
       // Atom is already emitted at [atom_start, here); wrap it by moving it
@@ -187,7 +207,9 @@ class LiteRegex::Compiler {
           }
         }
         int32_t unused = 0;
+        ++depth_;
         if (!ParseAlternation(&unused)) return false;
+        --depth_;
         if (Eof() || Peek() != ')') return false;
         ++pos_;
         return true;
@@ -252,19 +274,20 @@ class LiteRegex::Compiler {
         Emit({Op::kChar, static_cast<uint8_t>(c)});
         return true;
     }
-    EmitClass(bits);
-    return true;
+    return EmitClass(bits);
   }
 
-  void EmitClass(const ClassBits& bits) {
+  /// Fails once the program holds kMaxClasses classes.
+  bool EmitClass(const ClassBits& bits) {
+    if (out_->classes_.size() >= kMaxClasses) return false;
     out_->classes_.push_back(bits);
     Emit({Op::kClass,
           static_cast<uint8_t>(out_->classes_.size() - 1)});
+    return true;
   }
 
   /// class := '[' '^'? item* ']'  with items: char, range, class escape.
   bool ParseClass() {
-    if (out_->classes_.size() >= 255) return false;
     bool negate = false;
     if (!Eof() && Peek() == '^') {
       negate = true;
@@ -363,25 +386,108 @@ class LiteRegex::Compiler {
       }
     }
     if (negate) Negate(&bits);
-    EmitClass(bits);
-    return true;
+    return EmitClass(bits);
+  }
+
+  /// Extends or ends the current top-level literal run with the atom just
+  /// emitted at [atom_start, Here()) under quantifier `q` (0 for none). A
+  /// run is a maximal sequence of single-byte literal atoms, so every match
+  /// of the alternative consumes it as consecutive bytes. A zero-width
+  /// assertion leaves its neighbours adjacent and the run goes on; `x+`
+  /// consumes its `x` at least once, so `x` joins the run and the run
+  /// ends; anything else ends the run before the atom.
+  void TrackLiteral(int32_t atom_start, char q) {
+    // Every atom is its reserved slot plus what it emitted.
+    const Inst* only =
+        Here() == atom_start + 2 ? &At(atom_start + 1) : nullptr;
+    if (only != nullptr && only->op == Op::kChar && (q == 0 || q == '+')) {
+      run_.push_back(static_cast<char>(only->arg));
+      if (q == 0) return;
+    } else if (only != nullptr &&
+               (only->op == Op::kBegin || only->op == Op::kEnd ||
+                only->op == Op::kWordB || only->op == Op::kNWordB)) {
+      return;
+    }
+    EndRun();
+  }
+
+  void EndRun() {
+    if (run_.size() > longest_.size()) longest_ = run_;
+    run_.clear();
   }
 
   std::string_view p_;
   size_t pos_ = 0;
   LiteRegex* out_;
+  int depth_ = 0;        ///< Group nesting at pos_.
+  std::string run_;      ///< Current top-level literal run.
+  std::string longest_;  ///< Longest run of the current alternative.
 };
 
 bool LiteRegex::Compile(std::string_view pattern, LiteRegex* out) {
-  out->prog_.clear();
-  out->classes_.clear();
+  *out = LiteRegex();
   Compiler compiler(pattern, out);
   if (!compiler.Run()) {
-    out->prog_.clear();
-    out->classes_.clear();
+    *out = LiteRegex();
     return false;
   }
+  out->ComputeFirstBytes();
   return true;
+}
+
+/// Collects the bytes accepted by the consuming instructions reachable from
+/// pc 0 through epsilon edges. Assertions count as passable, so the set
+/// covers every thread a start can spawn whatever the text around it; when
+/// Match is reachable a match can begin without a byte and there is no set.
+void LiteRegex::ComputeFirstBytes() {
+  ClassBits bits{};
+  std::vector<bool> seen(prog_.size(), false);
+  std::vector<int32_t> stack = {0};
+  while (!stack.empty()) {
+    const int32_t pc = stack.back();
+    stack.pop_back();
+    if (seen[static_cast<size_t>(pc)]) continue;
+    seen[static_cast<size_t>(pc)] = true;
+    const Inst& inst = prog_[static_cast<size_t>(pc)];
+    switch (inst.op) {
+      case Op::kChar:
+        SetBit(&bits, inst.arg);
+        break;
+      case Op::kAny:
+        for (int c = 0; c < 256; ++c) {
+          if (!IsLineTerminator(static_cast<unsigned char>(c))) {
+            SetBit(&bits, static_cast<unsigned char>(c));
+          }
+        }
+        break;
+      case Op::kClass:
+        for (int i = 0; i < 8; ++i) bits[i] |= classes_[inst.arg][i];
+        break;
+      case Op::kMatch:
+        return;
+      case Op::kSplit:
+        stack.push_back(inst.y);
+        stack.push_back(inst.x);
+        break;
+      case Op::kJmp:
+        stack.push_back(inst.x);
+        break;
+      case Op::kBegin:
+      case Op::kEnd:
+      case Op::kWordB:
+      case Op::kNWordB:
+        stack.push_back(pc + 1);
+        break;
+    }
+  }
+  first_bytes_ = bits;
+  has_first_bytes_ = true;
+}
+
+bool LiteRegex::MayStartAt(std::string_view text, size_t pos) const {
+  return !has_first_bytes_ ||
+         (pos < text.size() &&
+          TestBit(first_bytes_, static_cast<unsigned char>(text[pos])));
 }
 
 /// Adds pc to the thread list, following epsilon transitions (jumps,
@@ -442,6 +548,13 @@ bool LiteRegex::AddThread(uint32_t pc, std::string_view text, size_t pos,
 bool LiteRegex::Search(std::string_view text,
                        LiteRegexScratch* scratch) const {
   if (prog_.empty()) return false;
+  if (!literals_.empty() &&
+      std::none_of(literals_.begin(), literals_.end(),
+                   [text](const std::string& lit) {
+                     return text.find(lit) != std::string_view::npos;
+                   })) {
+    return false;
+  }
   const size_t n = prog_.size();
   if (scratch->mark.size() < n) scratch->mark.resize(n, 0);
   std::vector<uint32_t>* cur = &scratch->cur;
@@ -449,9 +562,15 @@ bool LiteRegex::Search(std::string_view text,
   cur->clear();
   uint64_t gen = ++scratch->generation;
   // Unanchored search: a fresh thread at program start joins at every
-  // input position (the implicit leading .*?).
-  if (AddThread(0, text, 0, cur, scratch, gen)) return true;
+  // input position where a match can begin (the implicit leading .*?).
+  if (MayStartAt(text, 0) && AddThread(0, text, 0, cur, scratch, gen)) {
+    return true;
+  }
   for (size_t pos = 0; pos < text.size(); ++pos) {
+    if (cur->empty()) {
+      // Nothing in flight: skip to the byte before the next start.
+      while (pos + 1 < text.size() && !MayStartAt(text, pos + 1)) ++pos;
+    }
     unsigned char c = static_cast<unsigned char>(text[pos]);
     nxt->clear();
     uint64_t next_gen = ++scratch->generation;
@@ -471,7 +590,10 @@ bool LiteRegex::Search(std::string_view text,
       }
     }
     // New potential match starting at pos + 1.
-    if (AddThread(0, text, pos + 1, nxt, scratch, next_gen)) return true;
+    if (MayStartAt(text, pos + 1) &&
+        AddThread(0, text, pos + 1, nxt, scratch, next_gen)) {
+      return true;
+    }
     std::swap(cur, nxt);
   }
   return false;

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -41,7 +42,10 @@ class LiteRegex {
 
   /// True when some substring of `text` matches (ECMAScript regex_search
   /// semantics). Allocation-free once `scratch` has grown to this
-  /// program's size.
+  /// program's size. Two prefilters decided at compile time keep the VM
+  /// off texts that cannot match: a text holding none of the required
+  /// literals is rejected before `scratch` is touched, and a thread
+  /// starts only at positions whose byte can begin a match.
   bool Search(std::string_view text, LiteRegexScratch* scratch) const;
 
   size_t ProgramSize() const { return prog_.size(); }
@@ -73,9 +77,18 @@ class LiteRegex {
   bool AddThread(uint32_t pc, std::string_view text, size_t pos,
                  std::vector<uint32_t>* list, LiteRegexScratch* scratch,
                  uint64_t gen) const;
+  bool MayStartAt(std::string_view text, size_t pos) const;
+  void ComputeFirstBytes();
 
   std::vector<Inst> prog_;
   std::vector<ClassBits> classes_;
+  /// The longest required literal of each top-level alternative; every
+  /// match contains one of them. Empty when some alternative has none.
+  std::vector<std::string> literals_;
+  /// The bytes a match can begin with; unset when the program can match
+  /// without consuming a byte.
+  ClassBits first_bytes_{};
+  bool has_first_bytes_ = false;
 };
 
 }  // namespace jfeed

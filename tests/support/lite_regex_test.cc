@@ -123,6 +123,106 @@ TEST(LiteRegexTest, SteadyStateSearchTouchesOnlyScratch) {
   EXPECT_EQ(scratch.mark.size(), mark_size);
 }
 
+TEST(LiteRegexTest, ClassIndexDoesNotWrap) {
+  // Instructions name their class in one byte: 256 classes compile, and a
+  // 257th fails instead of reusing class 0 (which would make this pattern
+  // reject "x5" and accept "xx").
+  std::string fits = "[x]";
+  for (int i = 0; i < 254; ++i) fits += "\\d?";
+  fits += "\\d";
+  ExpectAgreesWithStdRegex(fits, {"x5", "xx", "x", "5x5", "x55", ""});
+  std::string wraps = "[x]";
+  for (int i = 0; i < 255; ++i) wraps += "\\d?";
+  wraps += "\\d";
+  LiteRegex lite;
+  EXPECT_FALSE(LiteRegex::Compile(wraps, &lite));
+}
+
+TEST(LiteRegexTest, PrefilterQuantifiedLiterals) {
+  const std::vector<std::string> texts = {
+      "", "a", "ac", "abc", "abbc", "abbbc", "b", "ab", "aab", "aaab",
+      "xabcx", "ababc", "abab", "c", "xw", "xyzw", "xyzyzw", "xyw", "x w"};
+  ExpectAgreesWithStdRegex("ab?c", texts);
+  ExpectAgreesWithStdRegex("ab*c", texts);
+  ExpectAgreesWithStdRegex("ab+c", texts);
+  ExpectAgreesWithStdRegex("a+b", texts);
+  ExpectAgreesWithStdRegex("a+?b", texts);
+  ExpectAgreesWithStdRegex("(ab)+c", texts);
+  ExpectAgreesWithStdRegex("x(?:yz)?w", texts);
+  ExpectAgreesWithStdRegex("x(?:yz)+w", texts);
+}
+
+TEST(LiteRegexTest, PrefilterAssertionsInsideARun) {
+  std::vector<std::string> texts = JavaContents();
+  for (const char* extra :
+       {"i % 5 == 0", "i % 5 == x", "xi % 5 == 0", "j % 5 == 3",
+        "if (i % 5 == 0 && m > 0)", "int", " int", "length", "length "}) {
+    texts.push_back(extra);
+  }
+  ExpectAgreesWithStdRegex("\\bi\\b % 5 == \\d", texts);
+  ExpectAgreesWithStdRegex("^int", texts);
+  ExpectAgreesWithStdRegex("length$", texts);
+  ExpectAgreesWithStdRegex("s\\b\\.length", texts);
+  ExpectAgreesWithStdRegex("n\\Bt", texts);
+}
+
+TEST(LiteRegexTest, PrefilterAlternativeWithoutALiteral) {
+  const std::vector<std::string> texts = {"", "a", "b", "foo", "fo", "42",
+                                          "x", "bar", "+", " ", "ba"};
+  ExpectAgreesWithStdRegex("a|", texts);
+  ExpectAgreesWithStdRegex("foo|\\d+", texts);
+  ExpectAgreesWithStdRegex("\\w+|bar", texts);
+  ExpectAgreesWithStdRegex("foo|bar", texts);
+}
+
+TEST(LiteRegexTest, PrefilterEscapedBytes) {
+  using namespace std::string_literals;
+  const std::vector<std::string> texts = {
+      "", "a.b", "axb", "a\nb", "a\n", "\n", "a\0b"s, "\0"s, "a\0"s,
+      "x\0y\0z"s, "a{b}", "{", "a{", "a}", "0", "a0b"};
+  ExpectAgreesWithStdRegex("a\\.b", texts);
+  ExpectAgreesWithStdRegex("a\\nb", texts);
+  ExpectAgreesWithStdRegex("\\n", texts);
+  ExpectAgreesWithStdRegex("a\\0b", texts);
+  ExpectAgreesWithStdRegex("\\0", texts);
+  ExpectAgreesWithStdRegex("a\\{b\\}", texts);
+  ExpectAgreesWithStdRegex("\\{", texts);
+}
+
+TEST(LiteRegexTest, PrefilterLeadingAtoms) {
+  const std::vector<std::string> texts = {
+      "", "c", "ac", "bc", "cc", "xac", "x", "ax", "\nx", "xx", "b",
+      "ab", "aab", "cb", "x y", "yx", " x", "x\n"};
+  ExpectAgreesWithStdRegex("[ab]c", texts);
+  ExpectAgreesWithStdRegex(".x", texts);
+  ExpectAgreesWithStdRegex("a?b", texts);
+  ExpectAgreesWithStdRegex("\\bx", texts);
+  ExpectAgreesWithStdRegex("[^a]c", texts);
+  ExpectAgreesWithStdRegex("(a|b)?c", texts);
+}
+
+TEST(LiteRegexTest, PrefilterEmptyText) {
+  for (const char* pattern :
+       {"", "a", "a*", "a?b", "^", "$", "^$", "\\b", "\\B", "[ab]c", ".",
+        "a|", "(a|)"}) {
+    ExpectAgreesWithStdRegex(pattern, {""});
+  }
+}
+
+TEST(LiteRegexTest, LiteralCheckRejectsBeforeThePikeVm) {
+  LiteRegex lite;
+  ASSERT_TRUE(LiteRegex::Compile("\\bi\\b % 5 == 0", &lite));
+  LiteRegexScratch scratch;
+  // The required literal is "i % 5 == 0"; this text does not hold it.
+  EXPECT_FALSE(lite.Search("j % 5 == 0", &scratch));
+  EXPECT_TRUE(scratch.mark.empty());
+  EXPECT_EQ(scratch.generation, 0u);
+  // A text holding the literal reaches the VM, which uses the scratch.
+  EXPECT_FALSE(lite.Search("xi % 5 == 0", &scratch));
+  EXPECT_FALSE(scratch.mark.empty());
+  EXPECT_GT(scratch.generation, 0u);
+}
+
 TEST(LiteRegexTest, SubstitutedTemplateShapes) {
   // The exact shapes ExprPattern emits: escaped variable names wrapped in
   // word boundaries, spliced between template fragments.
