@@ -444,11 +444,15 @@ class Lowerer {
 /// is only built when something actually fails.
 class Exec {
  public:
+  using TokenCache =
+      std::map<std::string, std::shared_ptr<const std::vector<std::string>>>;
+
   Exec(const LoweredUnit& program,
        const std::map<std::string, std::string>& files,
-       const ExecOptions& options)
+       TokenCache* scanner_tokens, const ExecOptions& options)
       : program_(program),
         files_(files),
+        scanner_tokens_(scanner_tokens),
         options_(options),
         max_steps_(options.max_steps) {}
 
@@ -1232,7 +1236,7 @@ class Exec {
         *out = Value::Bool(false);
         return true;
       }
-      const std::string& tok = sc.tokens[sc.pos];
+      const std::string& tok = (*sc.tokens)[sc.pos];
       char* end = nullptr;
       std::strtoll(tok.c_str(), &end, 10);
       *out = Value::Bool(end == tok.c_str() + tok.size() && !tok.empty());
@@ -1248,11 +1252,11 @@ class Exec {
                           e.src->line);
     }
     if (f == BuiltinMethod::kNext) {
-      *out = Value::Str(sc.tokens[sc.pos++]);
+      *out = Value::Str((*sc.tokens)[sc.pos++]);
       return true;
     }
     if (f == BuiltinMethod::kNextInt) {
-      const std::string& tok = sc.tokens[sc.pos];
+      const std::string& tok = (*sc.tokens)[sc.pos];
       char* end = nullptr;
       errno = 0;
       long long v = std::strtoll(tok.c_str(), &end, 10);
@@ -1265,7 +1269,7 @@ class Exec {
       return true;
     }
     if (f == BuiltinMethod::kNextDouble) {
-      const std::string& tok = sc.tokens[sc.pos];
+      const std::string& tok = (*sc.tokens)[sc.pos];
       char* end = nullptr;
       errno = 0;
       double v = std::strtod(tok.c_str(), &end);
@@ -1367,12 +1371,12 @@ class Exec {
       }
       Value file;
       if (!Eval(*e.args[0], &file)) return false;
-      auto it = files_.find(file.AsString());
-      if (it == files_.end()) {
+      auto tokens = ScannerTokens(file.AsString());
+      if (tokens == nullptr) {
         return RuntimeError("FileNotFoundException: " + file.AsString(), line);
       }
       auto state = std::make_shared<ScannerState>();
-      state->tokens = TokenizeScannerInput(it->second);
+      state->tokens = std::move(tokens);
       *out = Value::Scanner(std::move(state));
       return ChargeHeap(out->ApproxHeapBytes(), line);
     }
@@ -1387,8 +1391,23 @@ class Exec {
     return ChargeHeap(out->ApproxHeapBytes(), line);
   }
 
+  /// The tokens of file `name`, split on the first call for it and shared
+  /// by every later one; null when there is no such file.
+  std::shared_ptr<const std::vector<std::string>> ScannerTokens(
+      const std::string& name) {
+    auto cached = scanner_tokens_->find(name);
+    if (cached != scanner_tokens_->end()) return cached->second;
+    auto file = files_.find(name);
+    if (file == files_.end()) return nullptr;
+    auto tokens = std::make_shared<const std::vector<std::string>>(
+        TokenizeScannerInput(file->second));
+    scanner_tokens_->emplace(name, tokens);
+    return tokens;
+  }
+
   const LoweredUnit& program_;
   const std::map<std::string, std::string>& files_;
+  TokenCache* scanner_tokens_;
   const ExecOptions& options_;
   const int64_t max_steps_;
   std::string out_;
@@ -1424,7 +1443,7 @@ Result<ExecResult> Interpreter::Call(const std::string& method_name,
     Lowerer(unit_, lowered_.get()).Run();
   }
   const java::Method* method = unit_.FindMethod(method_name);
-  Exec exec(*lowered_, files_, options);
+  Exec exec(*lowered_, files_, &scanner_tokens_, options);
   auto result = exec.Run(
       method == nullptr ? -1
                         : static_cast<int32_t>(method - unit_.methods.data()),

@@ -108,6 +108,9 @@ class Interpreter {
  private:
   const java::CompilationUnit& unit_;
   std::map<std::string, std::string> files_;
+  /// Scanner tokens per file, split by the first `new Scanner` on it.
+  std::map<std::string, std::shared_ptr<const std::vector<std::string>>>
+      scanner_tokens_;
   std::unique_ptr<LoweredUnit> lowered_;  ///< Built by the first Call.
   int64_t last_call_steps_ = 0;
 };

@@ -109,7 +109,7 @@ int64_t Value::ApproxHeapBytes() const {
       break;
     case Kind::kScanner:
       if (const ScannerState* sc = scanner()) {
-        for (const auto& tok : sc->tokens) {
+        for (const auto& tok : *sc->tokens) {
           bytes += static_cast<int64_t>(tok.size()) + kHeapBytesPerToken;
         }
       }

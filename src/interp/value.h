@@ -30,13 +30,15 @@ struct ArrayValue {
 };
 
 /// State of a `Scanner` object reading whitespace-separated tokens from an
-/// in-memory "file". Reference semantics, like Java.
+/// in-memory "file". Reference semantics, like Java. The tokens are
+/// immutable and shared by every Scanner an Interpreter opens on the same
+/// file; each Scanner keeps its own position.
 struct ScannerState {
-  std::vector<std::string> tokens;
+  std::shared_ptr<const std::vector<std::string>> tokens;
   size_t pos = 0;
   bool closed = false;
 
-  bool HasNext() const { return !closed && pos < tokens.size(); }
+  bool HasNext() const { return !closed && pos < tokens->size(); }
 };
 
 /// A runtime value of the Java subset. Ints, longs and chars share the

@@ -339,6 +339,34 @@ TEST(InterpreterTest, ScannerExhaustionIsError) {
             std::string::npos);
 }
 
+TEST(InterpreterTest, ScannersOnOneFileKeepTheirOwnPositions) {
+  // Scanners on one file share its tokens but not their positions, in one
+  // Call and across Calls.
+  auto unit = java::Parse(R"(
+    String f() {
+      Scanner a = new Scanner(new File("d"));
+      String first = a.next();
+      Scanner b = new Scanner(new File("d"));
+      return first + b.next() + a.next() + b.next();
+    }
+    void g() {
+      Scanner a = new Scanner(new File("d"));
+      Scanner b = new Scanner(new File("d"));
+    })");
+  ASSERT_TRUE(unit.ok());
+  Interpreter interp(*unit, {{"d", "x yy"}});
+  for (int call = 0; call < 2; ++call) {
+    auto r = interp.Call("f", {});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->return_value.AsString(), "xxyyyy");
+    // Each Scanner is charged the whole token buffer, whether it split the
+    // file or reused the tokens.
+    auto heap = interp.Call("g", {});
+    ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+    EXPECT_EQ(heap->heap_bytes, 2 * (88 + (1 + 32) + (2 + 32)));
+  }
+}
+
 TEST(InterpreterTest, StringEqualsAndLength) {
   auto r = RunMethod(
       "boolean f(String a, String b) { return a.equals(b) && "

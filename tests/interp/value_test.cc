@@ -77,7 +77,8 @@ TEST(ValueTest, AsDoubleConvertsIntegrals) {
 
 TEST(ValueTest, ScannerState) {
   auto state = std::make_shared<ScannerState>();
-  state->tokens = {"a", "b"};
+  state->tokens = std::make_shared<const std::vector<std::string>>(
+      std::vector<std::string>{"a", "b"});
   Value v = Value::Scanner(state);
   EXPECT_TRUE(v.AsScanner()->HasNext());
   state->pos = 2;
@@ -108,7 +109,8 @@ struct AccessorRow {
 
 TEST(ValueTest, EveryAccessorOnEveryKind) {
   auto scanner = std::make_shared<ScannerState>();
-  scanner->tokens = {"7"};
+  scanner->tokens = std::make_shared<const std::vector<std::string>>(
+      std::vector<std::string>{"7"});
   using K = Value::Kind;
   const AccessorRow rows[] = {
       {"null", Value::Null(), K::kNull, true, false, false, 0, 0.0, false, "",
@@ -206,7 +208,8 @@ TEST(ValueTest, HeapChargeUnitIsFrozen) {
   EXPECT_EQ(Value::StringArray({"ab", "c"}).ApproxHeapBytes(),
             88 + 2 * 88 + 3);
   auto state = std::make_shared<ScannerState>();
-  state->tokens = {"a", "bb"};
+  state->tokens = std::make_shared<const std::vector<std::string>>(
+      std::vector<std::string>{"a", "bb"});
   EXPECT_EQ(Value::Scanner(state).ApproxHeapBytes(), 88 + (1 + 32) + (2 + 32));
 }
 
