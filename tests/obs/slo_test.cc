@@ -1,6 +1,9 @@
 #include "obs/slo.h"
 
+#include <array>
+#include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -232,6 +235,160 @@ TEST_F(SloTrackerTest, SnapshotExportsContractMetrics) {
       text.find("jfeed_slo_events_total{assignment=\"assignment1\","
                 "result=\"bad\"} 1"),
       std::string::npos);
+}
+
+/// The four gauges RecordGrade/RecordShed keep current for `assignment`.
+struct SloGauges {
+  explicit SloGauges(const std::string& assignment)
+      : remaining(Registry::Global().GetGauge(
+            "jfeed_slo_budget_remaining_ppm", "",
+            {{"assignment", assignment}})),
+        burn_fast(Registry::Global().GetGauge(
+            "jfeed_slo_burn_rate_milli", "",
+            {{"assignment", assignment}, {"window", "fast"}})),
+        burn_slow(Registry::Global().GetGauge(
+            "jfeed_slo_burn_rate_milli", "",
+            {{"assignment", assignment}, {"window", "slow"}})),
+        fast_burn(Registry::Global().GetGauge("jfeed_slo_fast_burn", "",
+                                              {{"assignment", assignment}})) {}
+  Gauge* remaining;
+  Gauge* burn_fast;
+  Gauge* burn_slow;
+  Gauge* fast_burn;
+};
+
+TEST_F(SloTrackerTest, GaugesEqualSnapshotAfterEveryEvent) {
+  // Seeded events on three tenants under small windows (50 s budget, 5 s
+  // fast, 20 s slow): the clock mostly steps forward 0-3 s, sometimes
+  // jumps past the whole window and sometimes steps back. After every
+  // event the gauges must say what a full scan of the ring says.
+  SloPolicy policy = TestPolicy();
+  policy.window_s = 50;
+  policy.fast_window_s = 5;
+  policy.slow_window_s = 20;
+  policy.min_events = 3;
+  // A quarter of the events are bad, so burn rates hover around 2.5x and
+  // the fast alert both fires and clears.
+  policy.fast_burn_threshold_milli = 2'500;
+  policy.slow_burn_threshold_milli = 2'000;
+  tracker_.Configure(policy);
+  const std::array<std::string, 3> tenants = {"assignment1", "esc-a",
+                                              "rit-b"};
+  std::vector<SloGauges> gauges;
+  for (const std::string& tenant : tenants) gauges.emplace_back(tenant);
+
+  uint64_t state = 88172645463325252ull;  // xorshift64
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  int64_t now_s = 1'000;
+  size_t mismatches = 0;
+  int checks = 0;
+  int fast_burns = 0;
+  for (int event = 0; event < 120'000; ++event) {
+    uint64_t r = next();
+    switch (r % 64) {
+      case 0: now_s += 60 + static_cast<int64_t>((r >> 8) % 80); break;
+      case 1: case 2: now_s -= 1 + static_cast<int64_t>((r >> 8) % 3); break;
+      default:
+        if ((r >> 6) % 4 == 0) now_s += static_cast<int64_t>((r >> 8) % 4);
+    }
+    size_t t = (r >> 16) % tenants.size();
+    switch ((r >> 24) % 8) {
+      case 0: tracker_.RecordShed(tenants[t], now_s); break;
+      case 1: tracker_.RecordGrade(tenants[t], 150'000, now_s); break;
+      default: tracker_.RecordGrade(tenants[t], 40'000, now_s); break;
+    }
+    for (const AssignmentSlo& slo : tracker_.Snapshot(now_s)) {
+      if (slo.assignment != tenants[t]) continue;
+      const SloGauges& g = gauges[t];
+      if (g.remaining->Value() != slo.budget_remaining_ppm ||
+          g.burn_fast->Value() != slo.burn_rate_fast_milli ||
+          g.burn_slow->Value() != slo.burn_rate_slow_milli ||
+          g.fast_burn->Value() != (slo.fast_burn ? 1 : 0)) {
+        if (++mismatches <= 5) {
+          ADD_FAILURE() << "event " << event << " tenant " << tenants[t]
+                        << " at " << now_s << ": gauges "
+                        << g.remaining->Value() << "/"
+                        << g.burn_fast->Value() << "/"
+                        << g.burn_slow->Value() << "/"
+                        << g.fast_burn->Value() << ", snapshot "
+                        << slo.budget_remaining_ppm << "/"
+                        << slo.burn_rate_fast_milli << "/"
+                        << slo.burn_rate_slow_milli << "/" << slo.fast_burn;
+        }
+      }
+      ++checks;
+      fast_burns += slo.fast_burn ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(checks, 120'000);
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GT(fast_burns, checks / 20);
+  EXPECT_LT(fast_burns, checks - checks / 20);
+}
+
+TEST_F(SloTrackerTest, ConcurrentRecordersKeepExactTotals) {
+  const std::array<std::string, 3> tenants = {"assignment1", "esc-a",
+                                              "rit-b"};
+  constexpr int kThreads = 4;
+  constexpr int kEventsPerThread = 6'000;
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([this, &tenants, w] {
+      for (int i = 0; i < kEventsPerThread; ++i) {
+        const std::string& tenant = tenants[static_cast<size_t>(i + w) % 3];
+        const int64_t now_s = 100 + i / 1'000;
+        switch (i % 5) {
+          case 0: tracker_.RecordShed(tenant, now_s); break;
+          case 1: tracker_.RecordGrade(tenant, 200'000, now_s); break;
+          default: tracker_.RecordGrade(tenant, 1, now_s); break;
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  // Thread w gives event i to tenant (i + w) % 3 and result i % 5, so each
+  // (tenant, result) total is a count over the residues of i mod 15.
+  std::array<int64_t, 3> good{}, bad{}, shed{};
+  for (int w = 0; w < kThreads; ++w) {
+    for (int i = 0; i < kEventsPerThread; ++i) {
+      size_t t = static_cast<size_t>(i + w) % 3;
+      if (i % 5 == 0) {
+        ++bad[t];
+        ++shed[t];
+      } else if (i % 5 == 1) {
+        ++bad[t];
+      } else {
+        ++good[t];
+      }
+    }
+  }
+  auto snaps = tracker_.Snapshot(100 + kEventsPerThread / 1'000);
+  ASSERT_EQ(snaps.size(), tenants.size());
+  for (size_t t = 0; t < tenants.size(); ++t) {
+    EXPECT_EQ(snaps[t].assignment, tenants[t]);
+    EXPECT_EQ(snaps[t].good_total, good[t]) << tenants[t];
+    EXPECT_EQ(snaps[t].bad_total, bad[t]) << tenants[t];
+    EXPECT_EQ(snaps[t].shed_total, shed[t]) << tenants[t];
+    EXPECT_EQ(Registry::Global()
+                  .GetCounter("jfeed_slo_events_total", "",
+                              {{"assignment", tenants[t]},
+                               {"result", "good"}})
+                  ->Value(),
+              good[t])
+        << tenants[t];
+    EXPECT_EQ(Registry::Global()
+                  .GetCounter("jfeed_slo_events_total", "",
+                              {{"assignment", tenants[t]}, {"result", "bad"}})
+                  ->Value(),
+              bad[t])
+        << tenants[t];
+  }
 }
 
 TEST(AggregateSlozTest, SumsWorkersAndRederivesBudget) {
