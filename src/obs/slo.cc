@@ -261,26 +261,44 @@ SloPolicy SloTracker::policy() const {
 
 void SloTracker::RecordGrade(const std::string& assignment,
                              int64_t latency_us, int64_t now_s) {
-  RecordEvent(assignment, latency_us > policy().latency_threshold_us,
-              /*shed=*/false, now_s);
+  RecordEvent(assignment, latency_us, /*shed=*/false, now_s);
 }
 
 void SloTracker::RecordShed(const std::string& assignment, int64_t now_s) {
-  RecordEvent(assignment, /*bad=*/true, /*shed=*/true, now_s);
+  RecordEvent(assignment, /*latency_us=*/0, /*shed=*/true, now_s);
 }
 
-void SloTracker::RecordEvent(const std::string& assignment, bool bad,
-                             bool shed, int64_t now_s) {
-  AssignmentSlo slo;
+void SloTracker::RecordEvent(const std::string& assignment,
+                             int64_t latency_us, bool shed, int64_t now_s) {
+  Counter* events = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!enabled_) return;
-    Tenant& tenant = tenants_[assignment];
-    if (tenant.slots.empty()) {
+    const bool bad = shed || latency_us > policy_.latency_threshold_us;
+    auto [it, created] = tenants_.try_emplace(assignment);
+    Tenant& tenant = it->second;
+    Registry& registry = Registry::Global();
+    if (created) {
       tenant.slots.resize(static_cast<size_t>(policy_.window_s));
+      tenant.budget_remaining = registry.GetGauge(
+          "jfeed_slo_budget_remaining_ppm",
+          "rolling-window error budget remaining, parts per million",
+          {{"assignment", assignment}});
+      tenant.burn_fast = registry.GetGauge(
+          "jfeed_slo_burn_rate_milli",
+          "error-budget burn rate in milli-units (1000 = 1x)",
+          {{"assignment", assignment}, {"window", "fast"}});
+      tenant.burn_slow = registry.GetGauge(
+          "jfeed_slo_burn_rate_milli",
+          "error-budget burn rate in milli-units (1000 = 1x)",
+          {{"assignment", assignment}, {"window", "slow"}});
+      tenant.fast_burn = registry.GetGauge(
+          "jfeed_slo_fast_burn",
+          "1 while the assignment's fast burn window is over threshold",
+          {{"assignment", assignment}});
     }
-    Slot& slot =
-        tenant.slots[static_cast<size_t>(now_s % policy_.window_s)];
+    const size_t index = static_cast<size_t>(now_s % policy_.window_s);
+    Slot& slot = tenant.slots[index];
     if (slot.sec != now_s) {
       slot.sec = now_s;
       slot.total = 0;
@@ -294,15 +312,66 @@ void SloTracker::RecordEvent(const std::string& assignment, bool bad,
     } else {
       ++tenant.good_total;
     }
-    slo = SummarizeLocked(assignment, tenant, now_s);
-    ExportMetricsLocked(assignment, slo);
+    if (tenant.memo_sec != now_s) {
+      tenant.memo = CountWindowsLocked(tenant, now_s, index);
+      tenant.memo_sec = now_s;
+    }
+    WindowCounts counts = tenant.memo;
+    counts.Add(slot, /*age=*/0, policy_);
+    AssignmentSlo slo;
+    slo.good_total = tenant.good_total;
+    slo.bad_total = tenant.bad_total;
+    counts.CopyTo(&slo);
+    DeriveBudget(policy_, &slo);
+    tenant.budget_remaining->Set(slo.budget_remaining_ppm);
+    tenant.burn_fast->Set(slo.burn_rate_fast_milli);
+    tenant.burn_slow->Set(slo.burn_rate_slow_milli);
+    tenant.fast_burn->Set(slo.fast_burn ? 1 : 0);
+    Counter*& counter = bad ? tenant.bad_events : tenant.good_events;
+    if (counter == nullptr) {
+      counter = registry.GetCounter(
+          "jfeed_slo_events_total",
+          "SLO events by assignment and budget result",
+          {{"assignment", assignment}, {"result", bad ? "bad" : "good"}});
+    }
+    events = counter;
   }
-  Registry::Global()
-      .GetCounter("jfeed_slo_events_total",
-                  "SLO events by assignment and budget result",
-                  {{"assignment", assignment},
-                   {"result", bad ? "bad" : "good"}})
-      ->Increment();
+  events->Increment();
+}
+
+void SloTracker::WindowCounts::Add(const Slot& slot, int64_t age,
+                                   const SloPolicy& policy) {
+  if (age < 0 || age >= policy.window_s) return;
+  window_events += slot.total;
+  window_bad += slot.bad;
+  if (age < policy.fast_window_s) {
+    fast_events += slot.total;
+    fast_bad += slot.bad;
+  }
+  if (age < policy.slow_window_s) {
+    slow_events += slot.total;
+    slow_bad += slot.bad;
+  }
+}
+
+void SloTracker::WindowCounts::CopyTo(AssignmentSlo* slo) const {
+  slo->window_events = window_events;
+  slo->window_bad = window_bad;
+  slo->fast_events = fast_events;
+  slo->fast_bad = fast_bad;
+  slo->slow_events = slow_events;
+  slo->slow_bad = slow_bad;
+}
+
+SloTracker::WindowCounts SloTracker::CountWindowsLocked(const Tenant& tenant,
+                                                        int64_t now_s,
+                                                        size_t skip) const {
+  WindowCounts counts;
+  for (size_t i = 0; i < tenant.slots.size(); ++i) {
+    const Slot& slot = tenant.slots[i];
+    if (i != skip && slot.sec >= 0) counts.Add(slot, now_s - slot.sec, policy_);
+  }
+  return counts;
 }
 
 AssignmentSlo SloTracker::SummarizeLocked(const std::string& assignment,
@@ -313,48 +382,9 @@ AssignmentSlo SloTracker::SummarizeLocked(const std::string& assignment,
   slo.good_total = tenant.good_total;
   slo.bad_total = tenant.bad_total;
   slo.shed_total = tenant.shed_total;
-  for (const Slot& slot : tenant.slots) {
-    if (slot.sec < 0) continue;
-    int64_t age = now_s - slot.sec;
-    if (age < 0 || age >= policy_.window_s) continue;
-    slo.window_events += slot.total;
-    slo.window_bad += slot.bad;
-    if (age < policy_.fast_window_s) {
-      slo.fast_events += slot.total;
-      slo.fast_bad += slot.bad;
-    }
-    if (age < policy_.slow_window_s) {
-      slo.slow_events += slot.total;
-      slo.slow_bad += slot.bad;
-    }
-  }
+  CountWindowsLocked(tenant, now_s, tenant.slots.size()).CopyTo(&slo);
   DeriveBudget(policy_, &slo);
   return slo;
-}
-
-void SloTracker::ExportMetricsLocked(const std::string& assignment,
-                                     const AssignmentSlo& slo) const {
-  Registry& registry = Registry::Global();
-  registry
-      .GetGauge("jfeed_slo_budget_remaining_ppm",
-                "rolling-window error budget remaining, parts per million",
-                {{"assignment", assignment}})
-      ->Set(slo.budget_remaining_ppm);
-  registry
-      .GetGauge("jfeed_slo_burn_rate_milli",
-                "error-budget burn rate in milli-units (1000 = 1x)",
-                {{"assignment", assignment}, {"window", "fast"}})
-      ->Set(slo.burn_rate_fast_milli);
-  registry
-      .GetGauge("jfeed_slo_burn_rate_milli",
-                "error-budget burn rate in milli-units (1000 = 1x)",
-                {{"assignment", assignment}, {"window", "slow"}})
-      ->Set(slo.burn_rate_slow_milli);
-  registry
-      .GetGauge("jfeed_slo_fast_burn",
-                "1 while the assignment's fast burn window is over threshold",
-                {{"assignment", assignment}})
-      ->Set(slo.fast_burn ? 1 : 0);
 }
 
 std::vector<AssignmentSlo> SloTracker::Snapshot(int64_t now_s) const {

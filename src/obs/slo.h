@@ -21,12 +21,18 @@
 // admission quota starts shedding. The broker aggregates worker /sloz
 // bodies with AggregateSloz().
 //
-// Events land on per-second slots in a fixed ring (window_s slots), so
-// recording is O(1) and a snapshot is one pass over the ring — no
-// per-event allocation on the grading hot path. The tracker is
+// Events land on per-second slots in a fixed ring (window_s slots). Each
+// event also refreshes the tenant's jfeed_slo_* gauges, which needs the
+// window sums; a tenant memoizes the sums of every slot except the current
+// second's and recomputes them only when the clock second changes, so an
+// event is O(1) (one ring pass per tenant per second at most) with one lock
+// acquisition, and its instrument handles are resolved when the tenant is
+// first seen. Snapshot(), /sloz and FastBurnAny() still scan the whole
+// ring. No per-event allocation on the grading hot path. The tracker is
 // runtime-gated (Configure() arms it; default off).
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -34,6 +40,9 @@
 #include <vector>
 
 namespace jfeed::obs {
+
+class Counter;
+class Gauge;
 
 /// Tunables for every assignment served by one daemon. Defaults are
 /// deliberately generous (30 s latency, 99.9% availability, 50-event
@@ -120,19 +129,49 @@ class SloTracker {
     int64_t total = 0;
     int64_t bad = 0;
   };
+  /// Events and bad events inside the budget, fast and slow windows.
+  struct WindowCounts {
+    int64_t window_events = 0;
+    int64_t window_bad = 0;
+    int64_t fast_events = 0;
+    int64_t fast_bad = 0;
+    int64_t slow_events = 0;
+    int64_t slow_bad = 0;
+
+    /// Adds `slot`, `age` seconds old, to each window it lies inside.
+    void Add(const Slot& slot, int64_t age, const SloPolicy& policy);
+    /// Copies the six counts into `slo`.
+    void CopyTo(AssignmentSlo* slo) const;
+  };
   struct Tenant {
     int64_t good_total = 0;
     int64_t bad_total = 0;
     int64_t shed_total = 0;
     std::vector<Slot> slots;  ///< window_s slots, indexed by sec % window_s.
+    /// Counts of every slot but slots[memo_sec % window_s], as seen at
+    /// memo_sec. Events at memo_sec write only that slot, so the memo holds
+    /// until the clock second changes.
+    int64_t memo_sec = std::numeric_limits<int64_t>::min();
+    WindowCounts memo;
+    // The tenant's labelled instruments (DESIGN.md §6). The gauges are
+    // resolved with the tenant; each result's counter on its first event,
+    // so a scrape lists only results that happened.
+    Gauge* budget_remaining = nullptr;
+    Gauge* burn_fast = nullptr;
+    Gauge* burn_slow = nullptr;
+    Gauge* fast_burn = nullptr;
+    Counter* good_events = nullptr;
+    Counter* bad_events = nullptr;
   };
 
-  void RecordEvent(const std::string& assignment, bool bad, bool shed,
-                   int64_t now_s);
+  void RecordEvent(const std::string& assignment, int64_t latency_us,
+                   bool shed, int64_t now_s);
+  /// Adds up the slots inside the windows at `now_s`, skipping ring index
+  /// `skip` (pass window_s to skip none).
+  WindowCounts CountWindowsLocked(const Tenant& tenant, int64_t now_s,
+                                  size_t skip) const;
   AssignmentSlo SummarizeLocked(const std::string& assignment,
                                 const Tenant& tenant, int64_t now_s) const;
-  void ExportMetricsLocked(const std::string& assignment,
-                           const AssignmentSlo& slo) const;
 
   mutable std::mutex mu_;
   bool enabled_ = false;

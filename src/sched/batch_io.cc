@@ -4,7 +4,7 @@
 
 namespace jfeed::sched {
 
-Result<BatchLine> ParseBatchLine(const std::string& line) {
+Result<BatchLine> ParseBatchLine(std::string_view line) {
   size_t pos = 0;
   SkipJsonSpace(line, &pos);
   if (pos >= line.size()) {
@@ -77,15 +77,15 @@ namespace {
 
 /// Opens an output line with its id (null when the input line had none)
 /// and its index.
-std::string LineHead(const std::string& id, size_t index) {
-  std::string out = "{\"id\":";
+void AppendLineHead(const std::string& id, size_t index, std::string* out) {
+  *out += "{\"id\":";
   if (id.empty()) {
-    out += "null";
+    *out += "null";
   } else {
-    AppendJsonString(id, &out);
+    AppendJsonString(id, out);
   }
-  out += ",\"index\":" + std::to_string(index);
-  return out;
+  *out += ",\"index\":";
+  AppendInt(index, out);
 }
 
 }  // namespace
@@ -93,23 +93,30 @@ std::string LineHead(const std::string& id, size_t index) {
 std::string BatchOutcomeToJson(const std::string& id, size_t index,
                                const service::GradingOutcome& outcome) {
   // Splice id/index into the outcome object: {"id":...,"index":N,<rest>.
-  std::string out = LineHead(id, index) + ",";
-  out += service::OutcomeToJson(outcome).substr(1);
+  std::string out;
+  AppendLineHead(id, index, &out);
+  out.push_back(',');
+  service::AppendOutcomeJsonMembers(outcome, &out);
+  out.push_back('}');
   return out;
 }
 
-std::string BatchOutcomeToJson(const std::string& id, size_t index,
-                               const std::string& assignment,
-                               const service::GradingOutcome& outcome) {
-  std::string out = LineHead(id, index) + ",\"assignment\":";
-  AppendJsonString(assignment, &out);
-  out += ",";
-  out += service::OutcomeToJson(outcome).substr(1);
-  return out;
+void AppendBatchOutcomeJson(const std::string& id, size_t index,
+                            const std::string& assignment,
+                            const service::GradingOutcome& outcome,
+                            std::string* out) {
+  AppendLineHead(id, index, out);
+  *out += ",\"assignment\":";
+  AppendJsonString(assignment, out);
+  out->push_back(',');
+  service::AppendOutcomeJsonMembers(outcome, out);
+  out->push_back('}');
 }
 
 std::string BatchErrorToJson(size_t index, const Status& error) {
-  std::string out = LineHead("", index) + ",\"error\":";
+  std::string out;
+  AppendLineHead("", index, &out);
+  out += ",\"error\":";
   AppendJsonString(error.ToString(), &out);
   out += "}";
   return out;
@@ -118,7 +125,9 @@ std::string BatchErrorToJson(size_t index, const Status& error) {
 std::string BatchRejectToJson(const std::string& id, size_t index,
                               const std::string& assignment, int code,
                               int retry_after_s, const Status& error) {
-  std::string out = LineHead(id, index) + ",\"assignment\":";
+  std::string out;
+  AppendLineHead(id, index, &out);
+  out += ",\"assignment\":";
   AppendJsonString(assignment, &out);
   out += ",\"code\":" + std::to_string(code);
   if (retry_after_s > 0) {

@@ -2,6 +2,7 @@
 #define JFEED_SCHED_BATCH_IO_H_
 
 #include <string>
+#include <string_view>
 
 #include "service/pipeline.h"
 #include "support/result.h"
@@ -25,18 +26,19 @@ struct BatchLine {
 /// values must be JSON strings. Standard JSON string escapes are decoded,
 /// including \uXXXX (with surrogate pairs). Blank lines yield
 /// kInvalidArgument — callers typically skip them before calling.
-Result<BatchLine> ParseBatchLine(const std::string& line);
+Result<BatchLine> ParseBatchLine(std::string_view line);
 
 /// Renders one NDJSON output line: the GradingOutcome JSON with "id" and
 /// "index" (position in the input stream) prepended, so outputs remain
 /// joinable with inputs even though they are emitted in input order anyway.
-/// The four-argument form additionally stamps the "assignment" the line was
-/// routed to (multi-tenant responses).
 std::string BatchOutcomeToJson(const std::string& id, size_t index,
                                const service::GradingOutcome& outcome);
-std::string BatchOutcomeToJson(const std::string& id, size_t index,
-                               const std::string& assignment,
-                               const service::GradingOutcome& outcome);
+/// Appends the multi-tenant form of that line to `*out` in place: it also
+/// stamps, after "index", the "assignment" the line was routed to.
+void AppendBatchOutcomeJson(const std::string& id, size_t index,
+                            const std::string& assignment,
+                            const service::GradingOutcome& outcome,
+                            std::string* out);
 
 /// Renders the NDJSON error line for an input line that failed to parse.
 std::string BatchErrorToJson(size_t index, const Status& error);

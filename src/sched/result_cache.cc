@@ -1,6 +1,5 @@
 #include "sched/result_cache.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "javalang/fingerprint.h"
@@ -49,10 +48,15 @@ uint64_t TokenFingerprint(const std::string& source) {
 
 std::string ResultCache::MakeKey(const std::string& assignment_id,
                                  uint64_t fingerprint) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fingerprint));
-  return assignment_id + "/" + buf;
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string key;
+  key.reserve(assignment_id.size() + 17);
+  key += assignment_id;
+  key += '/';
+  for (int shift = 60; shift >= 0; shift -= 4) {
+    key += kHex[(fingerprint >> shift) & 0xF];
+  }
+  return key;
 }
 
 bool ResultCache::Lookup(const std::string& assignment_id,

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -236,9 +237,9 @@ obs::HttpResponse GradingDaemon::HandleGrade(const obs::HttpRequest& request) {
   while (pos < request.body.size()) {
     size_t eol = request.body.find('\n', pos);
     if (eol == std::string::npos) eol = request.body.size();
-    std::string line = request.body.substr(pos, eol - pos);
+    std::string_view line(request.body.data() + pos, eol - pos);
     pos = eol + 1;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
     auto decoded = sched::ParseBatchLine(line);
     if (!decoded.ok()) {
       submission_index.push_back(SIZE_MAX);
@@ -281,8 +282,8 @@ obs::HttpResponse GradingDaemon::HandleGrade(const obs::HttpRequest& request) {
     size_t j = submission_index[i];
     const sched::MixedOutcome& result = outcomes[j];
     if (result.status.ok()) {
-      response.body += sched::BatchOutcomeToJson(
-          items[j].id, i, items[j].assignment, result.outcome);
+      sched::AppendBatchOutcomeJson(items[j].id, i, items[j].assignment,
+                                    result.outcome, &response.body);
     } else if (result.status.code() == StatusCode::kNotFound) {
       response.body += sched::BatchRejectToJson(
           items[j].id, i, items[j].assignment, 404, 0, result.status);

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdint>
-#include <cstdio>
 
 namespace jfeed {
 
@@ -49,25 +48,37 @@ void AppendUtf8(int32_t cp, std::string* out) {
 }  // namespace
 
 void AppendJsonString(std::string_view s, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out->push_back('"');
-  for (char c : s) {
+  size_t plain = 0;  // Start of the run of bytes copied as they are.
+  for (size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + plain, i - plain);
+    plain = i + 1;
     switch (c) {
       case '"': *out += "\\\""; break;
       case '\\': *out += "\\\\"; break;
       case '\n': *out += "\\n"; break;
       case '\r': *out += "\\r"; break;
       case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xF]};
+        out->append(escape, sizeof(escape));
+      }
     }
   }
+  out->append(s.data() + plain, s.size() - plain);
   out->push_back('"');
+}
+
+void AppendFixed(double value, std::string* out) {
+  // The longest spelling, -DBL_MAX's, is a sign, 309 digits and 7 more.
+  char buf[320];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value,
+                                 std::chars_format::fixed, 6)
+                       .ptr);
 }
 
 Result<std::string> ParseJsonString(std::string_view s, size_t* pos) {

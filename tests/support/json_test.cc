@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <vector>
 
 namespace jfeed {
 namespace {
@@ -74,6 +78,84 @@ TEST(JsonTest, SkipJsonSpaceStopsAtTheFirstOtherByte) {
   size_t pos = 0;
   SkipJsonSpace(" \t\r\n\f\v\"x\"", &pos);
   EXPECT_EQ(pos, 6u);
+}
+
+/// xorshift64: a fixed, seeded sequence.
+uint64_t NextRandom(uint64_t* state) {
+  *state ^= *state << 13;
+  *state ^= *state >> 7;
+  *state ^= *state << 17;
+  return *state;
+}
+
+std::string Fixed(double value) {
+  std::string out = "x";  // Appends, never overwrites.
+  AppendFixed(value, &out);
+  return out.substr(1);
+}
+
+TEST(JsonNumberTest, AppendFixedWritesToStringsBytes) {
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> values = {
+      0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, Limits::max(),
+      -Limits::max(), Limits::min(), Limits::denorm_min(), Limits::epsilon(),
+      Limits::quiet_NaN(), -Limits::quiet_NaN(), Limits::infinity(),
+      -Limits::infinity(), 0.0000005, 0.0000015, 0.0000025, 1e-7,
+      999999.9999995, 123456789012345678.0, 0.1, 2.0 / 3.0};
+  // Exact ties at the sixth decimal: odd multiples of 1/128 end in 5 at the
+  // seventh, so they test the rounding of the exact binary value.
+  for (int j = 1; j < 4'000; j += 2) {
+    values.push_back(j / 128.0);
+    values.push_back(-j / 128.0);
+    values.push_back(1e6 + j / 128.0);
+  }
+  for (int k = 0; k <= 20; ++k) values.push_back(0.5 * k);  // Scores.
+  uint64_t state = 0x9E3779B97F4A7C15ull;
+  for (int i = 0; i < 20'000; ++i) {
+    // Wall times in milliseconds, as the stage timers report them...
+    values.push_back(static_cast<double>(NextRandom(&state) % 50'000'000) /
+                     1e4 / static_cast<double>(1 + NextRandom(&state) % 7));
+    // ...and any bit pattern at all.
+    values.push_back(std::bit_cast<double>(NextRandom(&state)));
+  }
+  for (double value : values) {
+    EXPECT_EQ(Fixed(value), std::to_string(value)) << std::hexfloat << value;
+  }
+}
+
+TEST(JsonNumberTest, AppendIntWritesToStringsBytes) {
+  auto spell = [](auto value) {
+    std::string out = "x";
+    AppendInt(value, &out);
+    return out.substr(1);
+  };
+  for (int64_t value : {int64_t{0}, int64_t{-1}, int64_t{7}, int64_t{-42},
+                        std::numeric_limits<int64_t>::min(),
+                        std::numeric_limits<int64_t>::max()}) {
+    EXPECT_EQ(spell(value), std::to_string(value));
+  }
+  EXPECT_EQ(spell(std::numeric_limits<uint64_t>::max()),
+            std::to_string(std::numeric_limits<uint64_t>::max()));
+  EXPECT_EQ(spell(std::numeric_limits<int>::min()),
+            std::to_string(std::numeric_limits<int>::min()));
+  EXPECT_EQ(spell(std::numeric_limits<size_t>::max()),
+            std::to_string(std::numeric_limits<size_t>::max()));
+  uint64_t state = 12345;
+  for (int i = 0; i < 10'000; ++i) {
+    const auto value = static_cast<int64_t>(NextRandom(&state)) >>
+                       (NextRandom(&state) % 64);
+    EXPECT_EQ(spell(value), std::to_string(value));
+  }
+}
+
+TEST(JsonTest, PlainRunsAndEscapesInterleave) {
+  // Runs of copied bytes around every escape, at both ends of the string.
+  EXPECT_EQ(Quote("\"ab\\\x02\xC3\xA9\x7F\n"),
+            "\"\\\"ab\\\\\\u0002\xC3\xA9\x7F\\n\"");
+  EXPECT_EQ(Quote(""), "\"\"");
+  std::string out = "prefix";
+  AppendJsonString("tail", &out);
+  EXPECT_EQ(out, "prefix\"tail\"");
 }
 
 }  // namespace
