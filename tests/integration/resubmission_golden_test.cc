@@ -116,8 +116,9 @@ TEST_P(ResubmissionGoldenTest, CachedFeedbackIsByteIdenticalToColdFeedback) {
     EXPECT_EQ(warm_outcome.methods_regraded, expect_regraded) << step.id;
 
     // Disposition contract: partial_hit exactly when methods were reused.
-    const char* disposition =
-        service::ResolveCacheDisposition("off", warm_outcome);
+    const char* disposition = service::CacheDispositionName(
+        service::ResolveCacheDisposition(service::CacheDisposition::kOff,
+                                         warm_outcome));
     if (expect_reused > 0) {
       EXPECT_STREQ(disposition, "partial_hit") << step.id;
     } else {
@@ -217,7 +218,9 @@ TEST(ResubmissionChaosTest, LookupFaultDegradesToHealthyFullRegrade) {
   EXPECT_EQ(faulted.failure, service::FailureClass::kNone);
   EXPECT_EQ(faulted.tier, service::FeedbackTier::kFullEpdg);
   EXPECT_EQ(faulted.methods_reused, 0);
-  EXPECT_STREQ(service::ResolveCacheDisposition("off", faulted), "off");
+  EXPECT_EQ(service::ResolveCacheDisposition(service::CacheDisposition::kOff,
+                                             faulted),
+            service::CacheDisposition::kOff);
 
   // Metrics coherence: the fallback was counted, nothing was inserted.
   service::MethodCacheStats stats = cache->stats();

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "javalang/parser.h"
 #include "kb/assignments.h"
+#include "obs/metrics.h"
 #include "service/pipeline.h"
 #include "support/fault.h"
 
@@ -205,6 +208,51 @@ TEST(GradingPipelineTest, TimingsCoverEveryStageThatRan) {
     EXPECT_GE(timing.wall_ms, 0.0);
     EXPECT_TRUE(timing.status.ok());
   }
+}
+
+TEST(CacheDispositionTest, EachDispositionCountsUnderItsOwnLabel) {
+  obs::Registry& registry = obs::Registry::Global();
+  registry.ResetForTest();
+  registry.set_enabled(true);
+  const CacheDisposition all[] = {
+      CacheDisposition::kHit, CacheDisposition::kDedup,
+      CacheDisposition::kMiss, CacheDisposition::kOff,
+      CacheDisposition::kPartialHit};
+  // Disposition i is counted i + 1 times, so a count landing under another
+  // label shows.
+  for (size_t i = 0; i < std::size(all); ++i) {
+    for (size_t n = 0; n <= i; ++n) CountCacheDisposition(all[i]);
+  }
+  const char* names[] = {"hit", "dedup", "miss", "off", "partial_hit"};
+  for (size_t i = 0; i < std::size(all); ++i) {
+    EXPECT_STREQ(CacheDispositionName(all[i]), names[i]);
+    EXPECT_EQ(registry
+                  .GetCounter("jfeed_cache_requests_total", "",
+                              {{"disposition", names[i]}})
+                  ->Value(),
+              static_cast<int64_t>(i + 1))
+        << names[i];
+  }
+  registry.set_enabled(false);
+  registry.ResetForTest();
+}
+
+TEST(CacheDispositionTest, MethodReuseTurnsOnlyGradedLinesPartial) {
+  GradingOutcome reused;
+  reused.methods_reused = 1;
+  GradingOutcome fresh;
+  EXPECT_EQ(ResolveCacheDisposition(CacheDisposition::kMiss, reused),
+            CacheDisposition::kPartialHit);
+  EXPECT_EQ(ResolveCacheDisposition(CacheDisposition::kOff, reused),
+            CacheDisposition::kPartialHit);
+  EXPECT_EQ(ResolveCacheDisposition(CacheDisposition::kHit, reused),
+            CacheDisposition::kHit);
+  EXPECT_EQ(ResolveCacheDisposition(CacheDisposition::kDedup, reused),
+            CacheDisposition::kDedup);
+  EXPECT_EQ(ResolveCacheDisposition(CacheDisposition::kMiss, fresh),
+            CacheDisposition::kMiss);
+  EXPECT_EQ(ResolveCacheDisposition(CacheDisposition::kOff, fresh),
+            CacheDisposition::kOff);
 }
 
 }  // namespace

@@ -345,7 +345,8 @@ int main(int argc, char** argv) {
     // Single-submission mode never touches the result cache, hence "off";
     // the submission file path doubles as the recorder id.
     jfeed::obs::EventLog::Global().Append(jfeed::service::BuildWideEvent(
-        path != nullptr ? path : "stdin", assignment.id, "off", outcome));
+        path != nullptr ? path : "stdin", assignment.id,
+        jfeed::service::CacheDisposition::kOff, outcome));
   }
 
   if (json) {
